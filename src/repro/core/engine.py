@@ -41,6 +41,7 @@ from repro.core.config import (
 )
 from repro.core.errors import CompactionError, LetheError
 from repro.core.stats import PersistenceRecord, Statistics
+from repro.filters.bloom import digest_pair
 from repro.kiwi.range_delete import (
     SecondaryDeleteReport,
     execute_secondary_range_delete,
@@ -1292,9 +1293,12 @@ class LSMEngine:
         """Membership pre-check for blind-delete avoidance (no I/O)."""
         if self.buffer.get(key) is not None:
             return True
-        for run_file in self.tree.all_files():
-            if run_file.might_contain(key):
-                return True
+        hashed = digest_pair(key)
+        for level_runs in self.tree.read_view():
+            for run in level_runs:
+                for run_file in run.overlapping(key, key):
+                    if run_file.might_contain(key, hashed):
+                        return True
         return False
 
     def _on_tombstone_persisted(self, tombstone: object) -> None:

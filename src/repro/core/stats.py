@@ -112,6 +112,8 @@ class Statistics:
     range_lookups: int = 0
     secondary_range_lookups: int = 0
     bloom_probes: int = 0
+    # The §4.2.4 model, not a count of digests computed: one hash per
+    # filter probed (and per key added); a lookup digests its key once.
     bloom_hash_computations: int = 0
     bloom_false_positives: int = 0
     lookup_pages_read: int = 0

@@ -20,6 +20,7 @@ positions derive from the digest by double hashing.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Any, Iterable
 
 from repro.core.stats import Statistics
@@ -62,8 +63,25 @@ def key_digest(key: Any) -> int:
     return murmur_mix64(_fnv1a_64(repr(key).encode("utf-8")))
 
 
+def digest_pair(key: Any) -> tuple[int, int]:
+    """``(h1, h2)`` of the key's one digest, the double-hashing seed.
+
+    Probe ``i`` of a filter of ``m`` bits is ``(h1 + i · h2) mod m``.
+    The pair depends on the key alone, so a point lookup computes it
+    once and hands it to every filter it probes (§4.2.4).
+    """
+    digest = key_digest(key)
+    # h2 is odd so the probes cycle through the whole array.
+    return digest & 0xFFFFFFFF, (digest >> 32) | 1
+
+
+@lru_cache(maxsize=64)
 def optimal_hash_count(bits_per_key: float) -> int:
-    """``k = bits_per_key · ln 2``, the FPR-optimal number of probe bits."""
+    """``k = bits_per_key · ln 2``, the FPR-optimal number of probe bits.
+
+    Memoised: every per-page filter of a KiWi file asks with the same
+    budget, a quarter of a million times per ingest.
+    """
     return max(1, round(bits_per_key * math.log(2)))
 
 
@@ -79,7 +97,9 @@ class BloomFilter:
     stats:
         Optional shared counters; inserts and probes charge one hash
         computation each (single-digest model, §4.2.4), and probes also
-        increment ``bloom_probes``.
+        increment ``bloom_probes``. The charge is the model's, made per
+        filter touched — a lookup that digests its key once and probes
+        thirteen filters is still charged thirteen.
     """
 
     __slots__ = ("num_bits", "num_hashes", "bits_per_key", "_bits", "_count", "stats")
@@ -105,40 +125,56 @@ class BloomFilter:
     # Core operations
     # ------------------------------------------------------------------
 
-    def _positions(self, key: Any) -> Iterable[int]:
-        """Derive the k probe positions from one digest (double hashing)."""
-        digest = key_digest(key)
-        if self.stats is not None:
-            # Deliberately a plain += on the hottest counter in the
-            # codebase (k per probe, every lookup): a background worker
+    def add(self, key: Any) -> None:
+        """Insert a key."""
+        self.update((key,))
+
+    def might_contain(
+        self, key: Any, hashed: tuple[int, int] | None = None
+    ) -> bool:
+        """Probe: ``False`` is definitive, ``True`` may be a false positive.
+
+        ``hashed`` is the key's :func:`digest_pair` when the caller
+        already holds it (a lookup probing many filters digests once).
+        The probe is charged one hash computation either way: the counter
+        is the §4.2.4 *model* of a per-filter hash, not a count of the
+        digests this process computed.
+        """
+        stats = self.stats
+        if stats is not None:
+            # Deliberately plain += on the hottest counters in the
+            # codebase (every probe of every lookup): a background worker
             # building a filter may race a reader's probe and lose an
             # increment, which only undercounts a diagnostic counter —
             # a mutex here would tax every single-threaded experiment.
-            self.stats.bloom_hash_computations += 1
-        h1 = digest & 0xFFFFFFFF
-        h2 = (digest >> 32) | 1  # odd so probes cycle through the array
-        for i in range(self.num_hashes):
-            yield (h1 + i * h2) % self.num_bits
-
-    def add(self, key: Any) -> None:
-        """Insert a key."""
-        for position in self._positions(key):
-            self._bits[position >> 3] |= 1 << (position & 7)
-        self._count += 1
-
-    def might_contain(self, key: Any) -> bool:
-        """Probe: ``False`` is definitive, ``True`` may be a false positive."""
-        if self.stats is not None:
-            self.stats.bloom_probes += 1
-        for position in self._positions(key):
-            if not (self._bits[position >> 3] >> (position & 7)) & 1:
+            stats.bloom_probes += 1
+            stats.bloom_hash_computations += 1
+        h1, h2 = hashed if hashed is not None else digest_pair(key)
+        bits = self._bits
+        num_bits = self.num_bits
+        for _ in range(self.num_hashes):
+            position = h1 % num_bits
+            if not (bits[position >> 3] >> (position & 7)) & 1:
                 return False
+            h1 += h2
         return True
 
     def update(self, keys: Iterable[Any]) -> None:
-        """Bulk insert."""
+        """Bulk insert (one hash computation charged per key)."""
+        bits = self._bits
+        num_bits = self.num_bits
+        probes = range(self.num_hashes)
+        added = 0
         for key in keys:
-            self.add(key)
+            h1, h2 = digest_pair(key)
+            for _ in probes:
+                position = h1 % num_bits
+                bits[position >> 3] |= 1 << (position & 7)
+                h1 += h2
+            added += 1
+        self._count += added
+        if self.stats is not None:
+            self.stats.bloom_hash_computations += added
 
     # ------------------------------------------------------------------
     # Introspection

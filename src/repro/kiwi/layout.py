@@ -80,16 +80,29 @@ class KiWiFile(RunFile):
             rt.size for rt in self.range_tombstones
         )
 
-    def might_contain(self, key: Any) -> bool:
+    def entry_bounds(self) -> tuple[Any, Any] | None:
+        """Tile bounds as built; page drops never narrow them."""
+        if not self._tiles:
+            return None
+        return self._tiles[0].min_key, self._tiles[-1].max_key
+
+    def might_contain(
+        self, key: Any, hashed: tuple[int, int] | None = None
+    ) -> bool:
         """Bounds, tile fences, then the tile's per-page BFs; no I/O."""
         if not (self._min_key <= key <= self._max_key):
             return False
         tile_index = self._fences.locate(key)
         if tile_index is None or tile_index >= len(self._tiles):
             return False
-        return self._tiles[tile_index].might_contain(key)
+        return self._tiles[tile_index].might_contain(key, hashed)
 
-    def get(self, key: Any, charge_io: bool = True) -> LookupResult:
+    def get(
+        self,
+        key: Any,
+        charge_io: bool = True,
+        hashed: tuple[int, int] | None = None,
+    ) -> LookupResult:
         """Point lookup: RT block, tile fences on S, then per-page BFs.
 
         As in the classic layout, a covering range-tombstone fragment
@@ -106,7 +119,7 @@ class KiWiFile(RunFile):
         if tile_index is None or tile_index >= len(self._tiles):
             return LookupResult(entry=None, covering_rt_seqnum=rt_seq)
         tile = self._tiles[tile_index]
-        entry = tile.get(key, self._disk, charge_io=charge_io)
+        entry = tile.get(key, self._disk, charge_io=charge_io, hashed=hashed)
         return LookupResult(entry=entry, covering_rt_seqnum=rt_seq)
 
     def scan(self, lo: Any, hi: Any, charge_io: bool = True) -> list[Entry]:

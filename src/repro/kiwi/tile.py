@@ -42,9 +42,10 @@ def _delete_order_token(entry: Entry) -> tuple:
 
 def _page_bounds(page: Page) -> tuple[Any, Any] | None:
     """(min D, max D) of a page, or ``None`` if any entry lacks a delete key."""
-    if any(e.delete_key is None for e in page):
+    delete_keys = [e.delete_key for e in page]
+    if None in delete_keys:
         return None
-    return (page.min_delete_key(), page.max_delete_key())
+    return min(delete_keys), max(delete_keys)
 
 
 class DeleteTile:
@@ -155,10 +156,10 @@ class DeleteTile:
         )
 
     def _check_weave_invariant(self) -> None:
-        """Pages must be non-decreasing in delete-key order."""
+        """Pages must be non-decreasing in delete-key order (read off the
+        delete fences, which hold each page's bounds already)."""
         previous_max: Any = None
-        for page in self._pages:
-            bounds = _page_bounds(page)
+        for bounds in self._delete_fences.bounds:
             if bounds is None:
                 continue
             min_d, max_d = bounds
@@ -204,13 +205,21 @@ class DeleteTile:
     # Reads
     # ------------------------------------------------------------------
 
-    def might_contain(self, key: Any) -> bool:
+    def might_contain(
+        self, key: Any, hashed: tuple[int, int] | None = None
+    ) -> bool:
         """Any page BF answering "maybe" (bounds-checked first); no I/O."""
         if not (self._min_key <= key <= self._max_key):
             return False
-        return any(bloom.might_contain(key) for bloom in self._blooms)
+        return any(bloom.might_contain(key, hashed) for bloom in self._blooms)
 
-    def get(self, key: Any, disk: SimulatedDisk, charge_io: bool = True) -> Entry | None:
+    def get(
+        self,
+        key: Any,
+        disk: SimulatedDisk,
+        charge_io: bool = True,
+        hashed: tuple[int, int] | None = None,
+    ) -> Entry | None:
         """Point lookup: probe each page's BF, read positives in order.
 
         §4.2.5: "Once a delete tile is located, the BF for each delete
@@ -221,7 +230,7 @@ class DeleteTile:
         if not (self._min_key <= key <= self._max_key):
             return None
         for page, bloom in zip(self._pages, self._blooms):
-            if not bloom.might_contain(key):
+            if not bloom.might_contain(key, hashed):
                 continue
             if charge_io and not disk.read_cached(page.uid):
                 self._stats.lookup_pages_read += 1

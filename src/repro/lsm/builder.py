@@ -101,27 +101,12 @@ def _validate_disjoint(files: list[RunFile]) -> None:
     """
     previous_max: Any = None
     for run_file in files:
-        if run_file.meta.num_entries == 0:
+        bounds = run_file.entry_bounds()
+        if bounds is None:
             continue
-        entry_min = _entry_min(run_file)
-        if previous_max is not None and entry_min is not None:
-            if entry_min <= previous_max:
-                raise ValueError(
-                    f"run files overlap: {entry_min!r} <= {previous_max!r}"
-                )
-        entry_max = _entry_max(run_file)
-        if entry_max is not None:
-            previous_max = entry_max
-
-
-def _entry_min(run_file: RunFile) -> Any:
-    for entry in run_file.entries():
-        return entry.key
-    return None
-
-
-def _entry_max(run_file: RunFile) -> Any:
-    last_key = None
-    for entry in run_file.entries():
-        last_key = entry.key
-    return last_key
+        entry_min, entry_max = bounds
+        if previous_max is not None and entry_min <= previous_max:
+            raise ValueError(
+                f"run files overlap: {entry_min!r} <= {previous_max!r}"
+            )
+        previous_max = entry_max

@@ -5,14 +5,75 @@ every level must accumulate T runs before they are sort-merged." A run is
 a list of files with disjoint sort-key ranges (§2 "Partial Compaction");
 runs within a tiered level may overlap each other and are ordered newest
 first for reads.
+
+File fence index
+----------------
+A run is sorted, so finding the file that may hold a key is a search,
+not a walk. :class:`Run` keeps the files' ``min_key`` values as fence
+pointers and the running maximum of their ``max_key`` values; two
+bisections bracket the files whose closed bounds can reach a key or a
+range. The bracket is usually one file. It is two or more only where
+range-tombstone fragments widened a file's bounds over a neighbour's (a
+clipped fragment ends on the next file's first key, which closed bounds
+count as inside both; the outermost files of a built run are unclipped
+on their outer sides and may reach over files already in the level), and
+those neighbours are exactly the files the bounds test
+``min_key <= key <= max_key`` also admits — the index changes how files
+are found, never which.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from bisect import bisect_left
+from collections.abc import Sequence
+from itertools import accumulate
+from typing import Any, Iterable, Iterator
 
 from repro.core.errors import CompactionError
+from repro.filters.fence import FencePointers
 from repro.lsm.runfile import RunFile
+
+
+class Run(Sequence):
+    """The files of one run, in sort-key order, with a file fence index.
+
+    Immutable: :class:`Level` builds a new ``Run`` for every run list it
+    swaps in, so a reader holding an old one keeps a consistent view.
+    File bounds are fixed when a file is built (page drops never narrow
+    them), so the index never goes stale.
+    """
+
+    __slots__ = ("_files", "_fences", "_max_so_far")
+
+    def __init__(self, files: Iterable[RunFile]):
+        self._files = tuple(files)
+        # Rejects files that are not in sort-key order.
+        self._fences = FencePointers([f.min_key for f in self._files])
+        # max_key is not monotone where tombstone fragments widened a
+        # file past its right neighbour; the running maximum is, and
+        # every file left of its first value >= key ends before key.
+        self._max_so_far = list(accumulate((f.max_key for f in self._files), max))
+
+    def __len__(self) -> int:
+        return len(self._files)
+
+    def __getitem__(self, index):
+        return self._files[index]
+
+    def __iter__(self) -> Iterator[RunFile]:
+        return iter(self._files)
+
+    def overlapping(self, lo: Any, hi: Any) -> list[RunFile]:
+        """Files whose closed bounds intersect ``[lo, hi]``, in run order;
+        with ``lo == hi``, the files that may hold that key."""
+        last = self._fences.locate(hi)
+        if last is None:
+            return []
+        first = bisect_left(self._max_so_far, lo, 0, last + 1)
+        return [f for f in self._files[first : last + 1] if lo <= f.max_key]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Run({list(self._files)!r})"
 
 
 class Level:
@@ -34,8 +95,20 @@ class Level:
             raise ValueError(f"capacity must be positive, got {capacity_entries}")
         self.number = number
         self.capacity_entries = capacity_entries
-        # runs[0] is the most recent run; leveling keeps exactly one run.
-        self.runs: list[list[RunFile]] = []
+        self._runs: list[Run] = []
+
+    @property
+    def runs(self) -> list[Run]:
+        """The level's runs; ``runs[0]`` is the most recent, and leveling
+        keeps exactly one. Assigning a list of file sequences swaps the
+        whole list in at once, each run indexed as a :class:`Run`."""
+        return self._runs
+
+    @runs.setter
+    def runs(self, runs: Iterable[Sequence]) -> None:
+        self._runs = [
+            run if isinstance(run, Run) else Run(run) for run in runs
+        ]
 
     # ------------------------------------------------------------------
     # Mutation
@@ -54,7 +127,7 @@ class Level:
             return
         for run_file in files:
             run_file.meta.level = self.number
-        self.runs = [list(files)] + self.runs
+        self.runs = [files] + self.runs
 
     def merge_into_single_run(self, files: list[RunFile]) -> None:
         """Replace all runs with one run — leveling ingest path."""
@@ -74,10 +147,10 @@ class Level:
                 f"insert_into_run on tiered level {self.number} with "
                 f"{len(self.runs)} runs"
             )
-        current = self.runs[0] if self.runs else []
+        current = self.runs[0] if self.runs else ()
         for run_file in files:
             run_file.meta.level = self.number
-        merged = sorted(current + list(files), key=lambda f: f.min_key)
+        merged = sorted([*current, *files], key=lambda f: f.min_key)
         self.runs = [merged] if merged else []
         self._validate_single_run()
 
@@ -149,7 +222,7 @@ class Level:
 
     def overlapping_files(self, lo: Any, hi: Any) -> list[RunFile]:
         """Files (any run) whose key range intersects ``[lo, hi]``."""
-        return [f for f in self.files() if f.overlaps_range(lo, hi)]
+        return [f for run in self.runs for f in run.overlapping(lo, hi)]
 
     def tombstone_count(self) -> int:
         return sum(f.tombstone_count for f in self.files())

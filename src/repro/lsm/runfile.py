@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.core import locks
+from repro.lsm.range_tombstone import covering_seqnum
 from repro.storage.entry import Entry, RangeTombstone
 
 # One lock covers both allocation and the recovery-path ratchet: parallel
@@ -114,7 +115,7 @@ class FileMeta:
         return self.oldest_tombstone_time is not None
 
 
-@dataclass
+@dataclass(slots=True)
 class LookupResult:
     """Outcome of a point lookup against one file.
 
@@ -145,6 +146,11 @@ class RunFile(abc.ABC):
     @abc.abstractmethod
     def max_key(self) -> Any:
         """Largest sort key covered (entries and range-tombstone bounds)."""
+
+    @abc.abstractmethod
+    def entry_bounds(self) -> tuple[Any, Any] | None:
+        """(first, last) sort key among the entries, read off the layout's
+        in-memory bounds; ``None`` for a file of range tombstones only."""
 
     def overlaps(self, other: "RunFile") -> bool:
         """True if the two files' sort-key ranges intersect."""
@@ -178,8 +184,18 @@ class RunFile(abc.ABC):
     # --- reads ------------------------------------------------------------
 
     @abc.abstractmethod
-    def get(self, key: Any, charge_io: bool = True) -> LookupResult:
-        """Point lookup within this file (Bloom filters + fences + pages)."""
+    def get(
+        self,
+        key: Any,
+        charge_io: bool = True,
+        hashed: tuple[int, int] | None = None,
+    ) -> LookupResult:
+        """Point lookup within this file (Bloom filters + fences + pages).
+
+        ``hashed`` is the key's :func:`~repro.filters.bloom.digest_pair`
+        when the caller already computed it; it is passed down to every
+        filter probed.
+        """
 
     @abc.abstractmethod
     def scan(self, lo: Any, hi: Any, charge_io: bool = True) -> list[Entry]:
@@ -193,12 +209,14 @@ class RunFile(abc.ABC):
         task executes, to keep read accounting in one place.
         """
 
-    def might_contain(self, key: Any) -> bool:
+    def might_contain(
+        self, key: Any, hashed: tuple[int, int] | None = None
+    ) -> bool:
         """In-memory membership test (Bloom filters + bounds), no I/O.
 
         Used by FADE's blind-delete avoidance (§4.1.5): a tombstone is
         inserted only if some filter in the tree answers "maybe". The
-        default is conservative.
+        default is conservative. ``hashed`` as in :meth:`get`.
         """
         return self.min_key <= key <= self.max_key
 
@@ -210,8 +228,6 @@ class RunFile(abc.ABC):
         fragments every file's block into disjoint sorted pieces, so one
         bisection answers the question.
         """
-        from repro.lsm.range_tombstone import covering_seqnum
-
         return covering_seqnum(self.range_tombstones, key)
 
     def shadows_whole_file(self, rt_seqnum: int | None) -> bool:

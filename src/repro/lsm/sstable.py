@@ -92,13 +92,25 @@ class SSTable(RunFile):
     def bloom(self) -> BloomFilter:
         return self._bloom
 
-    def might_contain(self, key: Any) -> bool:
+    def entry_bounds(self) -> tuple[Any, Any] | None:
+        if not self._pages:
+            return None
+        return self._pages[0].min_key, self._pages[-1].max_key
+
+    def might_contain(
+        self, key: Any, hashed: tuple[int, int] | None = None
+    ) -> bool:
         """Bounds check plus the per-file Bloom filter; costs no I/O."""
         if not (self._min_key <= key <= self._max_key):
             return False
-        return self._bloom.might_contain(key)
+        return self._bloom.might_contain(key, hashed)
 
-    def get(self, key: Any, charge_io: bool = True) -> LookupResult:
+    def get(
+        self,
+        key: Any,
+        charge_io: bool = True,
+        hashed: tuple[int, int] | None = None,
+    ) -> LookupResult:
         """Point lookup: RT block → file BF → fences → at most one page read.
 
         The range-tombstone block is consulted *before* the Bloom filter:
@@ -112,7 +124,7 @@ class SSTable(RunFile):
             return LookupResult(entry=None, covering_rt_seqnum=rt_seq)
         if not (self._min_key <= key <= self._max_key):
             return LookupResult(entry=None, covering_rt_seqnum=rt_seq)
-        if not self._bloom.might_contain(key):
+        if not self._bloom.might_contain(key, hashed):
             return LookupResult(entry=None, covering_rt_seqnum=rt_seq)
         page_index = self._fences.locate(key)
         if page_index is None or page_index >= len(self._pages):

@@ -38,8 +38,9 @@ from typing import Any, Iterator
 from repro.core import locks
 from repro.core.config import EngineConfig
 from repro.core.stats import Statistics
+from repro.filters.bloom import digest_pair
 from repro.lsm.iterator import merge_for_read
-from repro.lsm.level import Level
+from repro.lsm.level import Level, Run
 from repro.lsm.runfile import RunFile
 from repro.storage.entry import Entry, RangeTombstone
 
@@ -82,8 +83,9 @@ class LSMTree:
         """Monotone install counter (bumped by every structural change)."""
         return self._version
 
-    def read_view(self) -> list[list[list[RunFile]]]:
-        """A consistent snapshot: per level, the list of runs (file lists).
+    def read_view(self) -> list[list[Run]]:
+        """A consistent snapshot: per level, the list of runs (each an
+        immutable :class:`~repro.lsm.level.Run` with its file fence index).
 
         Captured under the install lock (microseconds — metadata copies
         only), then read without it: the run lists are swapped atomically
@@ -144,21 +146,24 @@ class LSMTree:
         tombstone entry if the key's newest version is a delete; returns
         ``None`` either when no version exists or when a newer range
         tombstone covers the newest version.
+
+        The key is digested once, here, and the pair handed to every
+        filter probed; each run's fence index names the one or two files
+        whose bounds can hold the key.
         """
+        hashed = digest_pair(key)  # the lookup's one digest (§4.2.4)
         max_rt_seq: int | None = None
         for level_runs in self.read_view():
             for run in level_runs:
                 candidate: Entry | None = None
-                for run_file in run:
-                    if not (run_file.min_key <= key <= run_file.max_key):
-                        continue
+                for run_file in run.overlapping(key, key):
                     if run_file.shadows_whole_file(max_rt_seq):
                         # A covering fragment from a shallower (newer)
                         # level already outranks every entry this file
                         # could hold: skip its filters entirely.
                         self.stats.range_tombstone_skips += 1
                         continue
-                    result = run_file.get(key, charge_io=charge_io)
+                    result = run_file.get(key, charge_io, hashed)
                     if result.covering_rt_seqnum is not None and (
                         max_rt_seq is None
                         or result.covering_rt_seqnum > max_rt_seq
@@ -191,9 +196,7 @@ class LSMTree:
             streams.append(iter(batch))
         for level_runs in self.read_view():
             for run in level_runs:
-                for run_file in run:
-                    if not run_file.overlaps_range(lo, hi):
-                        continue
+                for run_file in run.overlapping(lo, hi):
                     entries = run_file.scan(lo, hi, charge_io=charge_io)
                     if entries:
                         streams.append(iter(entries))

@@ -4,13 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import lethe_config
+from repro.core.engine import LSMEngine
 from repro.core.stats import Statistics
+from repro.filters import bloom as bloom_module
 from repro.filters.bloom import (
     BloomFilter,
+    digest_pair,
     key_digest,
     murmur_mix64,
     optimal_hash_count,
 )
+
+from tests.conftest import TINY
 
 
 class TestHashing:
@@ -122,3 +128,93 @@ def test_property_fpr_bounded(keys, bits_per_key):
     fp = sum(1 for k in absent if bf.might_contain(k))
     theory = bf.expected_fpr()
     assert fp / 400 <= max(5 * theory, 0.08)
+
+
+def reference_bits(keys, num_bits, num_hashes):
+    """The double-hashing loop as first written: k positions per digest."""
+    bits = bytearray((num_bits + 7) // 8)
+    for key in keys:
+        digest = key_digest(key)
+        h1, h2 = digest & 0xFFFFFFFF, (digest >> 32) | 1
+        for i in range(num_hashes):
+            position = (h1 + i * h2) % num_bits
+            bits[position >> 3] |= 1 << (position & 7)
+    return bits
+
+
+_any_key = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.text(max_size=12),
+    st.binary(max_size=12),
+)
+
+
+@given(
+    st.lists(_any_key, min_size=1, max_size=120),
+    st.floats(min_value=1.0, max_value=20.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_build_matches_reference_loop(keys, bits_per_key):
+    """Bulk ``from_keys`` and per-key ``add`` set exactly the reference's
+    bits, and a probe handed the digest pair answers as one that hashes."""
+    bulk = BloomFilter.from_keys(keys, bits_per_key=bits_per_key)
+    one_by_one = BloomFilter(len(keys), bits_per_key=bits_per_key)
+    for key in keys:
+        one_by_one.add(key)
+    expected = reference_bits(keys, bulk.num_bits, bulk.num_hashes)
+    assert bulk._bits == expected
+    assert one_by_one._bits == expected
+    assert bulk.count == one_by_one.count == len(keys)
+    for key in keys + list(range(50)):
+        assert bulk.might_contain(key, digest_pair(key)) == bulk.might_contain(key)
+
+
+def test_lookup_digests_once_and_charges_every_filter(monkeypatch):
+    """§4.2.4: one digest per key however many filters the get probes;
+    ``bloom_probes``/``bloom_hash_computations`` still count per filter."""
+    engine = LSMEngine(
+        lethe_config(
+            delete_persistence_threshold=1e9, delete_tile_pages=4, **TINY
+        )
+    )
+    # Even keys in a scattered order, so every level spans the key domain.
+    for i in range(600):
+        key = (i * 7919 * 2) % 1200
+        engine.put(key, f"v{key}", delete_key=i)
+    engine.flush()
+    assert engine.tree.deepest_nonempty_level() >= 2
+
+    digests = []
+    real_digest = key_digest
+    monkeypatch.setattr(
+        bloom_module, "key_digest", lambda key: digests.append(key) or real_digest(key)
+    )
+    probed = []
+    real_probe = BloomFilter.might_contain
+
+    def counting_probe(self, key, hashed=None):
+        probed.append(self)
+        return real_probe(self, key, hashed)
+
+    monkeypatch.setattr(BloomFilter, "might_contain", counting_probe)
+
+    for key, expected in ((600, "v600"), (601, None)):
+        digests.clear()
+        probed.clear()
+        before = engine.stats.snapshot()
+        assert engine.get(key) == expected
+        after = engine.stats.snapshot()
+        assert digests == [key]
+        assert after["bloom_probes"] - before["bloom_probes"] == len(probed)
+        assert (
+            after["bloom_hash_computations"] - before["bloom_hash_computations"]
+            == len(probed)
+        )
+    assert len(probed) > 4  # the absent key: h page filters on each level
+
+    # The blind-delete pre-check is the other caller: also one digest.
+    digests.clear()
+    probed.clear()
+    engine.delete(603)
+    assert digests == [603]
+    assert len(probed) > 4

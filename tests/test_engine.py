@@ -364,3 +364,72 @@ class TestMetrics:
         baseline_engine.put(1, "x")
         text = baseline_engine.describe()
         assert "LSMEngine" in text
+
+
+# Recorded at the commit before the point-lookup path was rebuilt around
+# one digest per key and a per-run file fence index. That change may alter
+# how files and probe positions are found, never which filters are probed
+# or which pages are read, so every counter below must stay put. A change
+# of compaction or filter *policy* legitimately moves them: re-record then.
+_PINNED_READ_AMP_COUNTERS = {
+    "blind_deletes_skipped": 454,
+    "compactions": 308,
+    "pages_read": 9760,
+    "pages_written": 6388,
+    "cache_hits": 266,
+    "cache_misses": 1846,
+    "zero_result_lookups": 2053,
+    "bloom_probes": 28270,
+    "bloom_hash_computations": 28270,
+    "bloom_false_positives": 797,
+    "lookup_pages_read": 1846,
+    "range_tombstone_skips": 238,
+}
+
+
+def test_seeded_workload_counters_are_pinned():
+    """Ingest (puts, point deletes incl. blind ones, range deletes,
+    secondary range deletes) then gets, scans and secondary lookups on a
+    seeded KiWi + FADE engine: read and amplification counters are exact."""
+    rng = random.Random(20260928)
+    engine = LSMEngine(
+        lethe_config(
+            delete_persistence_threshold=4.0,
+            delete_tile_pages=4,
+            cache_pages=32,
+            **TINY,
+        )
+    )
+    domain = 4000
+    for step in range(3000):
+        key = rng.randrange(domain)
+        roll = rng.random()
+        if roll < 0.70:
+            engine.put(key, f"v{step}", delete_key=step)
+        elif roll < 0.93:
+            engine.delete(key)
+        elif roll < 0.97:
+            engine.delete_range(key, key + rng.randrange(1, 40))
+        else:
+            lo = rng.randrange(max(1, step))
+            engine.secondary_range_delete(lo, lo + 25)
+    engine.flush()
+    answers = 0
+    for _ in range(2500):
+        if engine.get(rng.randrange(domain + 500)) is not None:
+            answers += 1
+    for _ in range(60):
+        lo = rng.randrange(domain)
+        answers += len(engine.scan(lo, lo + 50))
+    for _ in range(10):
+        lo = rng.randrange(3000)
+        answers += len(engine.secondary_range_lookup(lo, lo + 30))
+
+    snapshot = engine.stats.snapshot()
+    assert {
+        name: snapshot[name] for name in _PINNED_READ_AMP_COUNTERS
+    } == _PINNED_READ_AMP_COUNTERS
+    assert answers == 1150
+    assert engine.write_amplification() == pytest.approx(8.764771135, abs=1e-9)
+    assert engine.space_amplification() == pytest.approx(0.098024142, abs=1e-9)
+    assert (engine.tree.height, engine.tree.total_files) == (3, 35)

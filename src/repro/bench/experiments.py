@@ -1608,7 +1608,8 @@ def compaction_experiment(
 
     if quick:
         # Keep the extremes: 1 worker (baseline) and the highest count,
-        # so CI still exercises multi-lease intra-engine concurrency.
+        # so CI still exercises several workers contending for one
+        # engine's compaction mutex.
         worker_counts = tuple(
             w for w in worker_counts if w in (1, max(worker_counts))
         )
@@ -1649,8 +1650,6 @@ def compaction_experiment(
         "background_compactions": [],
         "write_slowdowns": [],
         "write_stalls": [],
-        "concurrent_peak": [],
-        "preemptions": [],
         "speedup_vs_inline": [],
     }
     digests: dict[str, tuple] = {}
@@ -1693,8 +1692,6 @@ def compaction_experiment(
         series["background_compactions"].append(stats.background_compactions)
         series["write_slowdowns"].append(stats.write_slowdowns)
         series["write_stalls"].append(stats.write_stalls)
-        series["concurrent_peak"].append(engine._leases.peak)
-        series["preemptions"].append(stats.compaction_preemptions)
         series["speedup_vs_inline"].append(speedup)
         rows.append(
             [
@@ -1706,7 +1703,6 @@ def compaction_experiment(
                 stats.background_compactions,
                 stats.write_slowdowns,
                 stats.write_stalls,
-                engine._leases.peak,
                 f"{speedup:.2f}x",
             ]
         )
@@ -1802,7 +1798,7 @@ def compaction_experiment(
         format_table(
             ["scheduler", "ingest ops/s", "p99 op ms", "max op ms",
              "drain s", "bg compactions", "slowdowns", "stalls",
-             "peak leases", "speedup"],
+             "speedup"],
             rows,
             title=(
                 f"Ingest throughput, inline vs background compaction "

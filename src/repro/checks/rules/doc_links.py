@@ -1,7 +1,5 @@
 """doc-links: internal markdown links in docs/ and README.md resolve.
 
-The project-level port of ``tools/check_doc_links.py`` (which now
-shims to this module so the standalone CI invocation keeps working).
 Scans every ``*.md`` under ``docs/`` plus the top-level ``README.md``
 for inline markdown links ``[text](target)`` and verifies each
 *internal* target:
@@ -76,7 +74,7 @@ def check_file(path: Path, root: Path) -> Iterator[Finding]:
 
 
 def find_problems(root: Path) -> list[str]:
-    """Legacy string-form report (the tools/ shim's interface)."""
+    """String-form report, one ``path: message`` line per broken link."""
     rule = DocLinksRule()
     return [
         f"{finding.path}: {finding.message}"

@@ -54,21 +54,8 @@ class CompactionPolicy(abc.ABC):
     """Decides when to compact and which files participate."""
 
     @abc.abstractmethod
-    def select(
-        self,
-        tree: LSMTree,
-        now: float,
-        busy_levels: frozenset[int] = frozenset(),
-    ) -> CompactionTask | None:
-        """Return the next task, or ``None`` when nothing needs compacting.
-
-        ``busy_levels`` are levels currently covered by another worker's
-        compaction lease (see :mod:`repro.compaction.leases`): a policy
-        must not select a task whose source *or* target level is busy —
-        its inputs could be consumed, or its victims rewritten, mid-merge.
-        Serial callers pass the empty default and see the original
-        behaviour unchanged.
-        """
+    def select(self, tree: LSMTree, now: float) -> CompactionTask | None:
+        """Return the next task, or ``None`` when nothing needs compacting."""
 
     def on_flush(self, tree: LSMTree, now: float) -> None:
         """Hook invoked after every buffer flush (FADE recomputes TTLs here)."""
@@ -77,11 +64,6 @@ class CompactionPolicy(abc.ABC):
 # ----------------------------------------------------------------------
 # Shared selection helpers (§4.1.4 tie-breaking rules)
 # ----------------------------------------------------------------------
-
-
-def span_is_busy(source: int, target: int, busy_levels: frozenset[int]) -> bool:
-    """Whether a prospective (source, target) span overlaps a leased one."""
-    return source in busy_levels or target in busy_levels
 
 
 def saturated_levels(tree: LSMTree, level1_run_trigger: int = 0) -> list[int]:

@@ -106,7 +106,6 @@ class CompactionExecutor:
         task: CompactionTask,
         now: float,
         source_peer_ids: frozenset | None = None,
-        preempt=None,
     ) -> PreparedCompaction:
         """Phase 1: merge and materialize, charging all I/O. No mutation
         beyond growing empty levels (which readers never observe).
@@ -116,14 +115,6 @@ class CompactionExecutor:
         any file not in it at install time is a concurrently flushed run
         (see :class:`PreparedCompaction`). Inline callers may omit it
         (no concurrency: the snapshot taken here is equivalent).
-
-        ``preempt`` is an optional :class:`~repro.compaction.leases.
-        CompactionLease`: the merge then checkpoints once per simulated
-        page of input and raises :class:`~repro.compaction.leases.
-        CompactionPreempted` when a higher-priority task flagged the
-        lease. Every checkpoint sits *before* the I/O-charging and
-        materialization section, so an aborted prepare is entirely
-        side-effect free — no counters, no disk charges, no files.
         """
         tree.ensure_level(task.target_level)
         victims = self._victims(tree, task)
@@ -142,9 +133,6 @@ class CompactionExecutor:
         into_last_level = self._lands_in_last_level(tree, task, victims)
 
         streams = [f.entries() for f in participants]
-        if preempt is not None:
-            stride = max(1, self.config.page_entries)
-            streams = [preempt.guard(stream, stride) for stream in streams]
         range_tombstones = [
             rt for f in participants for rt in f.range_tombstones
         ]
@@ -170,11 +158,6 @@ class CompactionExecutor:
                 into_last_level=into_last_level,
                 extra_cover_tombstones=extra_cover,
             )
-
-        # Last abort point: past here the merge charges I/O and builds
-        # output files, so a preemption must land before, never after.
-        if preempt is not None:
-            preempt.check()
 
         # --- I/O and byte accounting -----------------------------------
         pages_in = sum(f.num_pages for f in participants)

@@ -42,7 +42,6 @@ from repro.compaction.base import (
     pick_highest_b,
     pick_min_overlap,
     saturated_levels,
-    span_is_busy,
 )
 
 
@@ -178,32 +177,17 @@ class FADEPolicy(CompactionPolicy):
     # Selection (§4.1.4)
     # ------------------------------------------------------------------
 
-    def select(
-        self,
-        tree: LSMTree,
-        now: float,
-        busy_levels: frozenset[int] = frozenset(),
-    ) -> CompactionTask | None:
-        task = self._select_expired(tree, now, busy_levels)
+    def select(self, tree: LSMTree, now: float) -> CompactionTask | None:
+        task = self._select_expired(tree, now)
         if task is not None:
             return task
-        return self._select_saturated(tree, now, busy_levels)
+        return self._select_saturated(tree, now)
 
     def _select_expired(
-        self, tree: LSMTree, now: float, busy_levels: frozenset[int] = frozenset()
+        self, tree: LSMTree, now: float
     ) -> CompactionTask | None:
         height = max(1, tree.deepest_nonempty_level())
         for level in tree.levels:  # smallest level first (tie-break rule)
-            # A busy level's expired file is deferred, not lost: the
-            # leased worker either drains the level or gets preempted by
-            # the urgent re-selection (engine._run_one_compaction_leased).
-            if span_is_busy(
-                level.number,
-                level.number if tree.is_last_level(level.number)
-                else level.number + 1,
-                busy_levels,
-            ):
-                continue
             expired = [
                 f
                 for f in level.files()
@@ -235,14 +219,12 @@ class FADEPolicy(CompactionPolicy):
         return None
 
     def _select_saturated(
-        self, tree: LSMTree, now: float, busy_levels: frozenset[int] = frozenset()
+        self, tree: LSMTree, now: float
     ) -> CompactionTask | None:
         trigger = (
             self.config.level1_run_trigger if self.config.level1_tiered else 0
         )
         for level_number in saturated_levels(tree, trigger):
-            if span_is_busy(level_number, level_number + 1, busy_levels):
-                continue
             level = tree.level(level_number)
             target = tree.ensure_level(level_number + 1)
             if self.saturation_mode is FileSelectionMode.SD and (

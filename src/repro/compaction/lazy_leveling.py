@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.core.config import CompactionTrigger, EngineConfig
 from repro.lsm.tree import LSMTree
 
-from repro.compaction.base import CompactionPolicy, CompactionTask, span_is_busy
+from repro.compaction.base import CompactionPolicy, CompactionTask
 
 
 class LazyLevelingPolicy(CompactionPolicy):
@@ -21,18 +21,9 @@ class LazyLevelingPolicy(CompactionPolicy):
     def __init__(self, config: EngineConfig):
         self.config = config
 
-    def select(
-        self,
-        tree: LSMTree,
-        now: float,
-        busy_levels: frozenset[int] = frozenset(),
-    ) -> CompactionTask | None:
+    def select(self, tree: LSMTree, now: float) -> CompactionTask | None:
         for level in tree.levels:
             if level.is_empty:
-                continue
-            # Conservative span check (either direction a task from this
-            # level could take): leased levels are another worker's.
-            if span_is_busy(level.number, level.number + 1, busy_levels):
                 continue
             is_last = tree.is_last_level(level.number)
             quota_hit = level.run_count >= self.config.size_ratio

@@ -19,7 +19,6 @@ from repro.compaction.base import (
     pick_min_overlap,
     pick_most_tombstones,
     saturated_levels,
-    span_is_busy,
 )
 
 
@@ -29,18 +28,11 @@ class LeveledCompactionPolicy(CompactionPolicy):
     def __init__(self, config: EngineConfig):
         self.config = config
 
-    def select(
-        self,
-        tree: LSMTree,
-        now: float,
-        busy_levels: frozenset[int] = frozenset(),
-    ) -> CompactionTask | None:
+    def select(self, tree: LSMTree, now: float) -> CompactionTask | None:
         trigger = (
             self.config.level1_run_trigger if self.config.level1_tiered else 0
         )
         for level_number in saturated_levels(tree, trigger):
-            if span_is_busy(level_number, level_number + 1, busy_levels):
-                continue
             level = tree.level(level_number)
             target = tree.ensure_level(level_number + 1)
             candidate = None

@@ -14,15 +14,12 @@ as :class:`~repro.shard.parallel.ShardExecutor`:
 * :class:`BackgroundScheduler` owns a FADE-priority queue of engines
   with pending work and a pool of worker threads — selection happens at
   dequeue time (never against a stale tree), the merge runs off the
-  write path under a per-level lease
-  (:mod:`repro.compaction.leases`), and only the final install takes
-  the engine's commit lock. Because leases cover level *spans*, several
-  workers may compact disjoint spans of the *same* engine concurrently:
-  when a worker starts a task it immediately requeues the engine so the
-  next worker can look for a disjoint one. One scheduler may be shared
-  by every member of a :class:`~repro.shard.engine.ShardedEngine`,
-  making cluster-wide compaction concurrency a single tunable
-  (``workers``).
+  write path under the engine's compaction mutex (one merge per engine
+  at a time), and only selection and the final install take the
+  engine's commit lock, so flushes keep landing beside a long merge.
+  One scheduler may be shared by every member of a
+  :class:`~repro.shard.engine.ShardedEngine`, making cluster-wide
+  compaction concurrency a single tunable (``workers``).
 
 Priority (§4.1 FADE): engines whose files have outlived their
 delete-persistence deadline sort first, ordered by how far past the
@@ -254,12 +251,11 @@ class BackgroundScheduler(CompactionScheduler):
     workers:
         Worker thread count — the cluster-wide compaction concurrency
         when the scheduler is shared by a sharded engine's members.
-        Workers parallelize across engines *and* within one: each
-        engine's lease registry admits concurrent tasks on disjoint
-        level spans, and a worker that starts a task requeues the engine
-        so the next worker can try for a disjoint one (selection against
-        a stale tree is still impossible — it happens under the engine's
-        commit lock at dequeue).
+        Workers parallelize across engines, never within one: an
+        engine's compaction mutex admits one merge, and a second worker
+        dispatched to a merging engine blocks on that mutex until the
+        merge installs (selection against a stale tree is impossible —
+        it happens under the engine's commit lock at dequeue).
     deterministic_commits:
         Drain at every :meth:`barrier`/:meth:`notify`/
         :meth:`after_maintenance` point, serializing the durable write
@@ -402,16 +398,8 @@ class BackgroundScheduler(CompactionScheduler):
         elif slow_at > 0 and pending >= slow_at:
             engine.stats.add(write_slowdowns=1)
             with engine.obs.tracer.span("write-slowdown", l1_runs=pending):
-                # Skip the enqueue (and the notify_all worker wakeup it
-                # triggers) while the engine's idle-dispatch memo proves
-                # no task is grantable: the lease in flight requeues the
-                # engine when it completes. Thousands of slowed writes
-                # land here during one long merge — without the check
-                # each one wakes every worker to dispatch a guaranteed
-                # no-op.
-                if engine._dispatch_might_progress():
-                    with self._cv:
-                        self._enqueue_locked(slot)
+                with self._cv:
+                    self._enqueue_locked(slot)
                 # Proportional delay (RocksDB-style): the full configured
                 # sleep applies only at the brink of the hard stall; a
                 # backlog hovering just past the slowdown threshold — a
@@ -435,7 +423,7 @@ class BackgroundScheduler(CompactionScheduler):
         """
         config = engine.config
         slow_at, stall_at = config.slowdown_l1_runs, config.stall_l1_runs
-        cap = getattr(config, "adaptive_stall_cap", 1.0)
+        cap = config.adaptive_stall_cap
         slot = self._slot(engine)
         if slot is None or cap <= 1.0 or self.deterministic_commits:
             return slow_at, stall_at
@@ -501,12 +489,6 @@ class BackgroundScheduler(CompactionScheduler):
         self._queue[id(slot.engine)] = slot
         self._cv.notify_all()
 
-    def _requeue(self, slot: _EngineSlot) -> None:
-        """Requeue an engine the moment one of its tasks gets a lease,
-        so another worker can look for a disjoint span concurrently."""
-        with self._cv:
-            self._enqueue_locked(slot)
-
     def _pick(self) -> _EngineSlot | None:
         """Dequeue the most urgent queued slot, or ``None`` to retry.
 
@@ -563,17 +545,7 @@ class BackgroundScheduler(CompactionScheduler):
                 continue
             progressed = False
             try:
-                # Deterministic mode pins the exclusive (serial-identical)
-                # path so crash enumeration sees the same label stream;
-                # otherwise the engine is handed back to the queue as soon
-                # as a lease is granted, letting a second worker compact a
-                # disjoint span of the same engine concurrently.
-                if self.deterministic_commits:
-                    progressed = slot.engine.run_one_compaction(exclusive=True)
-                else:
-                    progressed = slot.engine.run_one_compaction(
-                        on_task_started=lambda: self._requeue(slot)
-                    )
+                progressed = slot.engine.run_one_compaction()
                 if progressed:
                     slot.engine.stats.add(background_compactions=1)
                     slot.drain_rate.note_drain(slot.engine._pending_l1_runs())

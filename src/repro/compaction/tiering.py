@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.core.config import CompactionTrigger, EngineConfig
 from repro.lsm.tree import LSMTree
 
-from repro.compaction.base import CompactionPolicy, CompactionTask, span_is_busy
+from repro.compaction.base import CompactionPolicy, CompactionTask
 
 
 class TieredCompactionPolicy(CompactionPolicy):
@@ -20,19 +20,9 @@ class TieredCompactionPolicy(CompactionPolicy):
     def __init__(self, config: EngineConfig):
         self.config = config
 
-    def select(
-        self,
-        tree: LSMTree,
-        now: float,
-        busy_levels: frozenset[int] = frozenset(),
-    ) -> CompactionTask | None:
+    def select(self, tree: LSMTree, now: float) -> CompactionTask | None:
         for level in tree.levels:
             if level.is_empty:
-                continue
-            # Conservative: skip if either the level or its potential
-            # push-down target is leased (the target choice below depends
-            # on saturation state that a racing install could change).
-            if span_is_busy(level.number, level.number + 1, busy_levels):
                 continue
             run_quota_hit = level.run_count >= self.config.size_ratio
             if not run_quota_hit and not level.is_saturated():

@@ -190,13 +190,14 @@ class EngineConfig:
         Real (wall-clock) delay per write while in the slowdown band.
     adaptive_stall_cap:
         Upper bound on the adaptive scaling of the two write-stall
-        thresholds. The background scheduler measures each engine's
-        flush-arrival rate against its compaction-completion rate; an
-        engine draining at least as fast as it ingests has
-        ``slowdown_l1_runs``/``stall_l1_runs`` multiplied by up to this
-        factor before backpressure engages, so a healthy engine is not
-        stalled on the static floor. 1.0 (or less) disables adaptation
-        and the configured thresholds apply verbatim.
+        thresholds. The background scheduler samples each engine's
+        Level-1 run backlog whenever one of its compactions completes
+        and keeps an EWMA of those samples; an engine whose smoothed
+        completion-time backlog sits below ``slowdown_l1_runs`` has
+        both thresholds multiplied by ``slowdown_l1_runs / backlog``,
+        up to this factor, so a drain that keeps up is not stalled on
+        the static floor. 1.0 (or less) disables adaptation and the
+        configured thresholds apply verbatim.
     observability:
         Turn on the :mod:`repro.obs` instrumentation layer: per-op
         write/read latency histograms, span tracing of flushes,

@@ -26,7 +26,6 @@ from repro.compaction.executor import CompactionExecutor
 from repro.compaction.fade import FADEPolicy, InvalidationEstimator
 from repro.compaction.full import full_tree_compaction
 from repro.compaction.lazy_leveling import LazyLevelingPolicy
-from repro.compaction.leases import CompactionPreempted, LeaseRegistry
 from repro.compaction.leveling import LeveledCompactionPolicy
 from repro.compaction.scheduler import CompactionScheduler, make_scheduler
 from repro.core import locks
@@ -119,25 +118,19 @@ class LSMEngine:
             store.attach(self)
         self._key_bounds: tuple[Any, Any] | None = None
         self._persistence_index: dict[tuple, PersistenceRecord] = {}
-        # Concurrency (see docs/compaction.md for the full lock order):
-        # _compaction_mutex — serializes task *selection* and exclusive
-        #   maintenance sections (SRD, full compaction, checkpoint).
-        #   Leased workers hold it only through select+lease-acquire;
-        #   maintenance holds it for its whole section (and drains the
-        #   lease registry), so maintenance still excludes everything.
-        # _leases — per-level compaction spans: concurrent merges on
-        #   disjoint (source, target) level pairs of this one engine
-        #   (repro.compaction.leases). Merges themselves hold no lock.
+        # Concurrency (see docs/compaction.md):
+        # _compaction_mutex — one compaction cycle (select -> merge ->
+        #   install) or one maintenance section (SRD, full compaction,
+        #   checkpoint) at a time per engine.
         # _commit_lock — serializes {tree install + manifest edits +
         #   durable commit} transactions between the flush path and the
-        #   background workers; held only around those short sections,
-        #   never across a merge.
+        #   compaction path; held only around those short sections,
+        #   never across a merge, so a flush never waits for one.
         # _persistence_lock — the tombstone persistence index, mutated
         #   by the write path and by worker-side persistence callbacks.
-        # Lock order: _compaction_mutex -> _commit_lock -> lease registry
-        # cv -> tree install lock; _persistence_lock is a leaf. The ranks
-        # encode exactly this order and lockdep enforces it (see
-        # docs/static_analysis.md).
+        # Lock order: _compaction_mutex -> _commit_lock -> tree install
+        # lock; _persistence_lock is a leaf. The ranks encode exactly
+        # this order and lockdep enforces it (docs/static_analysis.md).
         self._compaction_mutex = locks.OrderedRLock(
             "engine.compaction", locks.RANK_ENGINE_COMPACTION
         )
@@ -148,16 +141,6 @@ class LSMEngine:
             "engine.persistence-index", locks.RANK_PERSISTENCE_INDEX
         )
         self._maintenance_thread: int | None = None
-        self._leases = LeaseRegistry("engine.leases", obs=self.obs)
-        # Idle-dispatch memo: (tree.version, leases.epoch) captured when
-        # a leased dispatch found no grantable task while merges were in
-        # flight. Until either counter moves, re-dispatching cannot find
-        # work either, so the selection walk is skipped outright (the
-        # write-path throttle re-enqueues the engine once per slowed-down
-        # op — thousands of futile policy walks per long merge without
-        # this). Advisory: both counters are monotone single-int reads,
-        # and every event that could create work bumps one of them.
-        self._lease_idle_memo: tuple[int, int] | None = None
 
         self.policy = self._build_policy()
         self.executor = CompactionExecutor(
@@ -712,47 +695,41 @@ class LSMEngine:
 
     @contextmanager
     def _exclusive_maintenance(self) -> Iterator[None]:
-        """Whole-tree exclusion: the compaction mutex plus a lease drain.
+        """Whole-tree exclusion: the engine's compaction mutex.
 
-        The mutex keeps new workers out of selection; the lease drain
-        waits for merges already in flight (a leased worker needs only
-        the commit lock and the registry cv to finish, never this mutex,
-        so the wait cannot deadlock). The thread marker lets the
-        scheduler detect re-entrant notifications (a flush inside an
-        SRD, a deterministic worker's own commit) and skip drain
-        barriers that would deadlock against a worker waiting for this
-        very mutex.
+        Compaction cycles and maintenance sections (SRD, full
+        compaction, checkpoint) all run under it, so its holder is the
+        only thread removing or rewriting files — a concurrent flush can
+        only add a new Level-1 run. The thread marker lets the scheduler
+        detect re-entrant notifications (a flush inside an SRD, a
+        deterministic worker's own commit) and skip drain barriers that
+        would deadlock against a worker waiting for this very mutex.
         """
         with self._compaction_mutex:
-            with self._leases.exclusive():
-                previous = self._maintenance_thread
-                self._maintenance_thread = threading.get_ident()
-                try:
-                    yield
-                finally:
-                    self._maintenance_thread = previous
+            previous = self._maintenance_thread
+            self._maintenance_thread = threading.get_ident()
+            try:
+                yield
+            finally:
+                self._maintenance_thread = previous
 
     def _pending_l1_runs(self) -> int:
         """Level 1's run backlog — the write-stall policy's input."""
         levels = self.tree.levels
         return levels[0].run_count if levels else 0
 
-    def _next_compaction_task(
-        self, now: float, busy_levels: frozenset = frozenset()
-    ) -> CompactionTask | None:
+    def _next_compaction_task(self, now: float) -> CompactionTask | None:
         """The next unit of compaction work, freshest-tree selection.
 
         Pure leveling consolidates a multi-run Level 1 first (the greedy
         merge the flush path used to run inline); otherwise the policy
         chooses. Called under the commit lock so selection never sees a
-        half-installed layout. ``busy_levels`` masks levels covered by
-        another worker's lease (see :meth:`_run_one_compaction_leased`).
+        half-installed layout.
         """
         if (
             not self.config.level1_tiered
             and self.config.merge_policy is MergePolicy.LEVELING
             and self.tree.height >= 1
-            and 1 not in busy_levels
         ):
             level1 = self.tree.level(1)
             if level1.run_count > 1:
@@ -764,43 +741,23 @@ class LSMEngine:
                     whole_level=True,
                     description="greedy L1 merge (pure leveling)",
                 )
-        task = self.policy.select(self.tree, now, busy_levels)
+        task = self.policy.select(self.tree, now)
         if task is not None:
             self._expand_multi_run_source(task)
         return task
 
-    def run_one_compaction(
-        self, exclusive: bool = False, on_task_started=None
-    ) -> bool:
+    def run_one_compaction(self) -> bool:
         """Select and execute one compaction task; ``False`` when idle.
 
-        Two execution modes:
-
-        * **Leased** (default for background workers): selection happens
-          under the compaction mutex + commit lock (short), the selected
-          span is leased from :class:`~repro.compaction.leases.
-          LeaseRegistry`, and both locks drop for the merge — so two
-          workers can compact disjoint level pairs of this engine
-          concurrently. Only the final install/commit re-takes the
-          commit lock.
-        * **Exclusive** (``exclusive=True``, used by serial inline
-          convergence, deterministic-commit workers, and re-entrant
-          maintenance frames): the original whole-cycle exclusion —
-          selection, merge, and install all inside one exclusive
-          maintenance section. Bit-for-bit the pre-lease behaviour,
-          which is what keeps serial mode and the crash suites' label
-          streams unchanged.
-
-        ``on_task_started`` (leased mode only) fires right after a lease
-        is granted, before the merge: the background scheduler uses it to
-        requeue the engine so *another* worker can look for a disjoint
-        task while this one merges.
+        The one dispatch path — inline convergence, background workers
+        and re-entrant maintenance frames all call it the same way. The
+        whole cycle holds the compaction mutex (one merge per engine at
+        a time; a second caller blocks until it installs). Selection and
+        the final install + durable commit additionally take the commit
+        lock; the merge itself (``executor.prepare``) runs with the
+        commit lock dropped, which is why the write path keeps flushing
+        new Level-1 runs beside a long merge.
         """
-        if exclusive or self._maintenance_thread == threading.get_ident():
-            return self._run_one_compaction_exclusive()
-        return self._run_one_compaction_leased(on_task_started)
-
-    def _run_one_compaction_exclusive(self) -> bool:
         with self._exclusive_maintenance():
             with self._commit_lock:
                 now = self.clock.now
@@ -838,130 +795,6 @@ class LSMEngine:
             for f in self.tree.level(task.source_level).files()
             if id(f) not in source_ids
         )
-
-    def _dispatch_might_progress(self) -> bool:
-        """False iff the idle-dispatch memo is still current — a leased
-        dispatch proved no task is grantable against this exact (tree,
-        lease) state and neither counter has moved since. Lock-free
-        (two monotone single-int loads); a stale read errs toward True,
-        costing one redundant dispatch, never a lost one. The scheduler
-        uses this to skip even *enqueueing* the engine from the write
-        path's slowdown loop: a current memo implies a lease is in
-        flight, and its release both invalidates the memo and requeues
-        the engine.
-        """
-        memo = self._lease_idle_memo
-        return memo is None or memo != (
-            self.tree.version, self._leases.epoch
-        )
-
-    def _run_one_compaction_leased(self, on_task_started=None) -> bool:
-        """One task under a per-level lease; merges run concurrently.
-
-        Why every step is safe against a concurrent disjoint-span merge
-        (and the racing flushes the exclusive path already tolerated):
-        selection and victim snapshots happen under the commit lock, so
-        they never see a half-installed layout; leases cover both the
-        source and target level, so another worker can neither consume
-        this task's inputs nor rewrite its victims; installs serialize
-        under the commit lock + the tree's install section; and the
-        executor's prepare-time reasoning (`_lands_in_last_level`,
-        `_split_eager_droppable`, `_upper_level_cover`) only ever
-        depends on data that concurrent merges cannot invalidate —
-        merges move data *down* without creating entries, and flushes
-        only add strictly *newer* Level-1 runs.
-        """
-        if not self._dispatch_might_progress():
-            # A dispatch already walked the policy against this exact
-            # (tree, lease) state and found nothing grantable; nothing
-            # that could change the answer has happened since (installs
-            # bump the version, lease churn bumps the epoch). A TTL
-            # deadline expiring mid-merge waits at most until the next
-            # flush or lease release — both arrive within the merge.
-            return False
-        obs_enabled = self.obs.enabled
-        dispatched = _perf_counter() if obs_enabled else 0.0
-        with self._compaction_mutex:
-            with self._commit_lock:
-                now = self.clock.now
-                idle_memo = (self.tree.version, self._leases.epoch)
-                busy = self._leases.busy_levels()
-                if busy:
-                    # Merges in flight: select *around* their spans in a
-                    # single masked walk, so this worker is never idle
-                    # while disjoint work waits.
-                    task = self._next_compaction_task(now, busy_levels=busy)
-                    if task is None:
-                        # No disjoint work. If the engine's actual top
-                        # choice is a TTL-urgent task blocked by another
-                        # worker's lease, flag that lease for preemption
-                        # (FADE's D_th outranks backlog shaping) so the
-                        # merge yields at its next checkpoint; either
-                        # way this worker stands down — the finishing
-                        # (or preempted) merge requeues the engine.
-                        blocked = self._next_compaction_task(now)
-                        if (
-                            blocked is not None
-                            and blocked.trigger is CompactionTrigger.TTL_EXPIRY
-                        ):
-                            self._leases.request_preemption(
-                                frozenset(
-                                    (blocked.source_level, blocked.target_level)
-                                )
-                            )
-                        self._lease_idle_memo = idle_memo
-                        return False
-                else:
-                    task = self._next_compaction_task(now)
-                    if task is None:
-                        return False
-                span = frozenset((task.source_level, task.target_level))
-                peers = self._source_peers(task)
-                lease = self._leases.try_acquire(
-                    span,
-                    frozenset(id(f) for f in task.source_files),
-                    urgent=task.trigger is CompactionTrigger.TTL_EXPIRY,
-                    waited_seconds=(
-                        (_perf_counter() - dispatched) if obs_enabled else 0.0
-                    ),
-                )
-                if lease is None:
-                    # An exclusive maintenance drain is pending: stand
-                    # down; after_maintenance re-notifies the scheduler.
-                    return False
-        try:
-            if on_task_started is not None:
-                on_task_started()
-            with self.obs.tracer.span(
-                "compaction",
-                level=task.source_level,
-                target=task.target_level,
-                trigger=task.trigger.value,
-                files=len(task.source_files),
-            ):
-                try:
-                    prepared = self.executor.prepare(
-                        self.tree,
-                        task,
-                        now,
-                        source_peer_ids=peers,
-                        preempt=lease,
-                    )
-                except CompactionPreempted:
-                    # Side-effect-free by construction (the executor
-                    # aborts before any I/O charge); the discarded task
-                    # counts as progress so the scheduler requeues the
-                    # engine and the urgent task dispatches next.
-                    self.stats.add(compaction_preemptions=1)
-                    return True
-                with self._commit_lock:
-                    self.executor.install_prepared(
-                        self.tree, task, prepared, now
-                    )
-                    self._commit("compaction")
-        finally:
-            self._leases.release(lease)
-        return True
 
     def run_pending_compactions(self) -> int:
         """Drain the policy's task queue inline; returns tasks executed."""
@@ -1131,7 +964,11 @@ class LSMEngine:
         Background compaction work drains first, so every merge that
         already committed — or is mid-commit on a worker — reaches the
         store before its handles close; an engine-owned scheduler (built
-        from a string spec) is then stopped. Purely in-memory engines
+        from a string spec) is then stopped, while a caller-supplied one
+        is left running and merely forgets this engine — a shared
+        scheduler's ``drain()`` re-raises the error of any registered
+        engine, so a closed engine that stayed registered would poison
+        every other member's drain and close. Purely in-memory engines
         have nothing to release. A process that exits *without* closing
         models a crash: whatever the commit policy had not yet drained
         is lost, which is exactly the trade-off the policy spec names.
@@ -1141,12 +978,14 @@ class LSMEngine:
         the sampler or scheduler worker threads into the process.
         """
         errors: list[BaseException] = []
-        for fn in (
-            self.obs.close,
-            self.scheduler.drain,
-            (self._store.close if self._store is not None else lambda: None),
-            (self.scheduler.close if self._owns_scheduler else lambda: None),
-        ):
+        steps = [self.obs.close, self.scheduler.drain]
+        if not self._owns_scheduler:
+            steps.append(lambda: self.scheduler.unregister(self))
+        if self._store is not None:
+            steps.append(self._store.close)
+        if self._owns_scheduler:
+            steps.append(self.scheduler.close)
+        for fn in steps:
             try:
                 fn()
             except BaseException as exc:  # noqa: BLE001 - re-raised below
@@ -1215,9 +1054,6 @@ class LSMEngine:
             ),
             "wal_live_records": self.wal.live_records,
             "background_compactions": stats.background_compactions,
-            "concurrent_compactions": self._leases.active_count,
-            "concurrent_compactions_peak": self._leases.peak,
-            "compaction_preemptions": stats.compaction_preemptions,
             # The adaptive backpressure the scheduler currently applies
             # to this engine (== the config values under serial mode).
             "effective_stall_l1_runs": self.scheduler.effective_thresholds(

@@ -69,11 +69,6 @@ RANK_EXECUTOR_POOL = 2400        # shard/parallel.py PooledExecutor._lock
 RANK_SHARD_MEMBER = 2600         # shard/engine.py _Topology.locks[i]
 RANK_ENGINE_COMPACTION = 3000    # core/engine.py _compaction_mutex
 RANK_ENGINE_COMMIT = 4000        # core/engine.py _commit_lock
-# Between commit and WAL: a worker acquires its lease from inside the
-# selection section (compaction mutex + commit lock held) and releases
-# it holding nothing; maintenance waits for lease drain holding only the
-# compaction mutex. Both orders are ascending with this placement.
-RANK_LEASE_REGISTRY = 4200       # compaction/leases.py LeaseRegistry._cv
 RANK_WAL_MUTEX = 4500            # storage/persist.py DurableStore._wal_mutex
 RANK_TREE_INSTALL = 5000         # lsm/tree.py LSMTree._install_lock
 RANK_SCHEDULER_CV = 6000         # compaction/scheduler.py BackgroundScheduler._cv

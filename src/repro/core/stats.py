@@ -128,7 +128,6 @@ class Statistics:
 
     # --- background compaction scheduling -------------------------------
     background_compactions: int = 0
-    compaction_preemptions: int = 0
     write_slowdowns: int = 0
     write_stalls: int = 0
     stall_seconds: float = 0.0
@@ -288,7 +287,6 @@ class Statistics:
                     "srd_pages_read",
                     "srd_pages_written",
                     "background_compactions",
-                    "compaction_preemptions",
                     "write_slowdowns",
                     "write_stalls",
                     "stall_seconds",

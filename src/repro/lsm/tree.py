@@ -11,23 +11,15 @@ Snapshot-consistent reads
 Background compaction (:mod:`repro.compaction.scheduler`) installs merge
 results from worker threads while the write path keeps serving lookups.
 Every structural mutation therefore happens inside :meth:`install` — a
-short critical section under the tree's install lock that bumps a
-version counter — and every read first captures :meth:`read_view`, an
-immutable copy of the per-level run lists taken under the same lock.
+short critical section under the tree's install lock — and every read
+first captures :meth:`read_view`, an immutable copy of the per-level run
+lists taken under the same lock.
 A reader never observes a half-swapped level (a file removed from its
 source level but not yet installed at the target): it either sees the
 complete pre-install layout or the complete post-install one. Run files
 consumed by a compaction stay readable through an old view — their
 in-memory pages are immutable — so a read racing an install is stale,
 never wrong.
-
-Under per-level compaction leases (:mod:`repro.compaction.leases`),
-*several* workers may install into the same tree concurrently — one per
-disjoint level span. Their installs serialize in this same section;
-because each lease covers both its source and target level, two
-concurrent installs never touch the same :class:`~repro.lsm.level.
-Level`, so the section stays a microseconds-long metadata swap with no
-cross-worker interference beyond the lock handoff itself.
 """
 
 from __future__ import annotations
@@ -58,7 +50,6 @@ class LSMTree:
         self._install_lock = locks.OrderedRLock(
             "tree.install", locks.RANK_TREE_INSTALL
         )
-        self._version = 0
 
     # ------------------------------------------------------------------
     # Install lock & read views
@@ -75,13 +66,7 @@ class LSMTree:
         performed under this lock.
         """
         with self._install_lock:
-            self._version += 1
             yield
-
-    @property
-    def version(self) -> int:
-        """Monotone install counter (bumped by every structural change)."""
-        return self._version
 
     def read_view(self) -> list[list[Run]]:
         """A consistent snapshot: per level, the list of runs (each an

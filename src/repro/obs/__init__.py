@@ -98,15 +98,6 @@ class Observability:
         self.ingest_queue_depth = self.registry.histogram(
             "ingest_queue_depth", resolution=1
         )
-        # Lease-mode compaction concurrency (see repro.compaction.leases):
-        # peak concurrent leases is monotone, so a counter carries it
-        # exactly; the wait histogram records dispatch-to-lease latency.
-        self.concurrent_compactions_peak = self.registry.counter(
-            "concurrent_compactions_peak"
-        )
-        self.compaction_lease_wait = self.registry.histogram(
-            "compaction_lease_wait_seconds"
-        )
 
     @classmethod
     def from_config(cls, config) -> "Observability":

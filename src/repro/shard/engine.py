@@ -48,12 +48,11 @@ Concurrency model — three pieces, nothing else shared:
    lock — see :mod:`repro.core.clock`.) Background *compactions* are
    the exception to "internally serial": a shared
    :class:`~repro.compaction.scheduler.BackgroundScheduler`'s workers
-   compact members without taking shard locks, and since per-level
-   leases (:mod:`repro.compaction.leases`) several workers may even
-   compact disjoint level spans of the *same* member concurrently —
-   the counters those merges touch go through the locked
-   ``Statistics.add`` path, and installs serialize on the member's
-   commit/install locks, not the shard lock.
+   compact members without taking shard locks (one merge per member
+   at a time, under that member's compaction mutex) — the counters
+   those merges touch go through the locked ``Statistics.add`` path,
+   and installs serialize on the member's commit/install locks, not
+   the shard lock.
 
 Gate discipline: shared acquisition happens only in the public entry
 points, never nested (a barrier inside ``ingest`` releases and

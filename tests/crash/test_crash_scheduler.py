@@ -93,11 +93,12 @@ def test_every_crash_point_recovers_with_scheduler_active(name, config_factory):
 
 
 @pytest.mark.parametrize("name,config_factory", SCHEDULER_FLAVOURS)
-def test_multi_lease_mode_recovers_after_mid_stream_crash(name, config_factory):
-    """Multi-lease mode (4 workers, no deterministic drains: concurrent
-    leased merges on one engine) under fault injection. Worker-thread
-    interleavings make the boundary *index* of any given write
-    non-deterministic, so exhaustive per-boundary oracles do not apply —
+def test_nondeterministic_mode_recovers_after_mid_stream_crash(name, config_factory):
+    """Non-deterministic background mode (4 workers, no drain barriers:
+    merges commit from worker threads while the write path keeps
+    flushing) under fault injection. Worker-thread interleavings make
+    the boundary *index* of any given write non-deterministic, so
+    exhaustive per-boundary oracles do not apply —
     instead, every recovery must land on a consistent state: replaying
     the full op sequence on the recovered engine converges to the
     full-sequence model (puts re-install identical values, deletes are
@@ -119,10 +120,10 @@ def test_multi_lease_mode_recovers_after_mid_stream_crash(name, config_factory):
                 scheduler_factory=lambda: BackgroundScheduler(workers=4),
             )
             if not run.crashed:
-                # Leased interleaving crossed fewer boundaries on this
-                # replay than the counting pass saw; nothing to recover.
+                # This interleaving crossed fewer boundaries than the
+                # counting pass saw; nothing to recover.
                 continue
-            context = f"{name}-multilease@{crash_at}"
+            context = f"{name}-background@{crash_at}"
             assert_dth_invariant(run.recovered, context)
             # Full idempotent replay: recovery + the whole sequence must
             # converge on the complete model surface.

@@ -1,25 +1,17 @@
 """The narrative docs stay navigable: internal links must resolve.
 
-Drives the same checker CI runs (``tools/check_doc_links.py``) so a
-renamed doc, a dropped section, or a typo'd relative path fails the
-suite locally before it fails the docs job.
+Drives the same ``doc-links`` rule CI runs (``python -m repro.checks``)
+so a renamed doc, a dropped section, or a typo'd relative path fails the
+suite locally before it fails the analysis job.
 """
 
 from __future__ import annotations
 
-import importlib.util
 from pathlib import Path
 
+from repro.checks.rules import doc_links as checker
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def _load_checker():
-    spec = importlib.util.spec_from_file_location(
-        "check_doc_links", REPO_ROOT / "tools" / "check_doc_links.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_docs_exist_and_are_linked_from_readme():
@@ -31,14 +23,12 @@ def test_docs_exist_and_are_linked_from_readme():
 
 
 def test_internal_doc_links_resolve():
-    checker = _load_checker()
     problems = checker.find_problems(REPO_ROOT)
     assert not problems, "\n".join(problems)
 
 
 def test_checker_flags_broken_links(tmp_path):
     """The checker itself works — a fabricated broken link is caught."""
-    checker = _load_checker()
     docs = tmp_path / "docs"
     docs.mkdir()
     (docs / "a.md").write_text(
@@ -53,7 +43,6 @@ def test_checker_flags_broken_links(tmp_path):
 
 
 def test_github_anchor_convention():
-    checker = _load_checker()
     assert checker.github_anchor("The async ingest queue") == (
         "the-async-ingest-queue"
     )

@@ -10,12 +10,19 @@ operations assert against the model *mid-history* (not only at the end),
 so a state the engine passes through and later repairs cannot hide, and
 ``advance_time`` interleaves idle periods that fire FADE's TTL
 compactions and the D_th WAL routine between writes.
+
+The ``-deferred`` flavours model a slow background worker without any
+thread: their scheduler never compacts on its own, so flushes pile up
+ahead of compaction and merges run only where the history holds a
+``compact`` op — every backlog a lagging worker can produce, replayed
+deterministically.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compaction.scheduler import CompactionScheduler
 from repro.core.config import MergePolicy, lethe_config, rocksdb_config
 from repro.core.engine import LSMEngine
 
@@ -41,14 +48,39 @@ OPS = st.lists(
         st.tuples(st.just("get"), KEYS),
         st.tuples(st.just("scan"), KEYS, st.integers(1, 12)),
         st.tuples(st.just("advance_time"), st.floats(0.01, 0.5)),
+        # One compaction step; a no-op for inline flavours (already
+        # converged), the only way a deferred flavour ever merges.
+        st.tuples(st.just("compact")),
     ),
     min_size=1,
     max_size=120,
 )
 
 
-def engine_flavours():
+D_TH = 0.5
+
+
+class DeferredScheduler(CompactionScheduler):
+    """Never compacts: the history's ``compact`` ops are the worker."""
+
+    def notify(self, engine) -> None:
+        pass
+
+
+def deferred_flavours():
     return [
+        ("lethe-deferred", lambda: LSMEngine(
+            lethe_config(delete_persistence_threshold=D_TH, **TINY),
+            scheduler=DeferredScheduler())),
+        ("lethe-kiwi-deferred", lambda: LSMEngine(
+            lethe_config(delete_persistence_threshold=D_TH,
+                         delete_tile_pages=4, **TINY),
+            scheduler=DeferredScheduler())),
+    ]
+
+
+def engine_flavours():
+    return deferred_flavours() + [
         ("baseline", lambda: LSMEngine(rocksdb_config(**TINY))),
         ("baseline-tieredL1", lambda: LSMEngine(
             rocksdb_config(level1_tiered=True, **TINY))),
@@ -57,9 +89,9 @@ def engine_flavours():
         ("lazy-leveling", lambda: LSMEngine(
             rocksdb_config(**{**TINY, "merge_policy": MergePolicy.LAZY_LEVELING}))),
         ("lethe", lambda: LSMEngine(
-            lethe_config(delete_persistence_threshold=0.5, **TINY))),
+            lethe_config(delete_persistence_threshold=D_TH, **TINY))),
         ("lethe-kiwi", lambda: LSMEngine(
-            lethe_config(delete_persistence_threshold=0.5,
+            lethe_config(delete_persistence_threshold=D_TH,
                          delete_tile_pages=4, **TINY))),
     ]
 
@@ -122,6 +154,8 @@ def replay(engine: LSMEngine, ops) -> dict:
             )
         elif op[0] == "advance_time":
             engine.advance_time(op[1])
+        elif op[0] == "compact":
+            engine.run_one_compaction()
     return model
 
 
@@ -151,6 +185,24 @@ def test_property_scan_matches_model(name, factory, ops):
     got = engine.scan(0, 40)
     expected = sorted((k, v) for k, (v, _d) in model.items())
     assert got == expected, f"[{name}] scan mismatch"
+
+
+@pytest.mark.parametrize("name,factory", deferred_flavours())
+@given(ops=OPS)
+@settings(max_examples=25, deadline=None)
+def test_property_deferred_backlog_converges_within_dth(name, factory, ops):
+    """Whatever backlog the history left behind, draining it converges
+    (``run_pending_compactions`` raises otherwise) on a tree where no
+    tombstone-bearing file has outlived ``D_th``, content unchanged."""
+    engine = factory()
+    model = replay(engine, ops)
+    engine.run_pending_compactions()
+    assert not engine.run_one_compaction(), f"[{name}] drain left work behind"
+    assert engine.max_tombstone_file_age() <= D_TH + 1e-9, (
+        f"[{name}] a tombstone file outlived D_th after the drain"
+    )
+    expected = sorted((k, v) for k, (v, _d) in model.items())
+    assert engine.scan(0, 40) == expected, f"[{name}] drain changed content"
 
 
 @given(ops=OPS)

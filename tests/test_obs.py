@@ -273,6 +273,10 @@ class TestSamplerLifecycle:
         assert not any(
             t.name == "obs-sampler" for t in threading.enumerate()
         ), "engine.close() leaked a sampler thread"
+        # The live backpressure policy rides the sampler feed (serial
+        # mode: the configured threshold, unscaled).
+        last = engine.obs.sampler.samples()[-1]
+        assert last["effective_stall_l1_runs"] == engine.config.stall_l1_runs
 
     def test_cluster_close_stops_sampler_thread(self):
         cluster = ShardedEngine(
@@ -338,71 +342,6 @@ class TestRegistryAndExport:
         registry.attach_stats("engine", stats)
         parsed = parse_exposition(prometheus_exposition(registry))
         assert parsed["lethe_engine_entries_ingested"] == 5
-
-
-class TestLeaseInstrumentation:
-    """The lease-concurrency metrics ride the standard obs surfaces:
-    pre-bound on the bundle, flattened into the sampler's source, and
-    exported through the Prometheus exposition."""
-
-    def test_lease_metrics_reach_registry_sampler_and_exposition(self):
-        config = lethe_config(
-            1e9,
-            buffer_pages=4,
-            page_entries=4,
-            size_ratio=3,
-            level1_tiered=True,
-            observability=True,
-            obs_sample_interval_ms=0.0,  # sample synchronously below
-        )
-        engine = LSMEngine(config)
-        try:
-            # Two disjoint leases live at once: the peak counter is 2.
-            a = engine._leases.try_acquire(
-                frozenset({1, 2}), frozenset(), waited_seconds=0.004
-            )
-            b = engine._leases.try_acquire(
-                frozenset({3, 4}), frozenset(), waited_seconds=0.008
-            )
-            sample = engine._obs_sample()
-            assert sample["concurrent_compactions"] == 2
-            assert sample["concurrent_compactions_peak"] == 2
-            assert sample["compaction_preemptions"] == 0
-            assert sample["effective_stall_l1_runs"] == (
-                engine.config.stall_l1_runs
-            )
-            engine._leases.release(a)
-            engine._leases.release(b)
-            # Monotone after release; the wait histogram saw both grants.
-            assert engine._obs_sample()["concurrent_compactions_peak"] == 2
-            assert engine.obs.concurrent_compactions_peak.value == 2
-            wait = engine.obs.compaction_lease_wait.snapshot()
-            assert wait["count"] == 2
-            assert wait["max"] >= 0.008
-            parsed = parse_exposition(
-                prometheus_exposition(engine.obs.registry, prefix="lethe")
-            )
-            assert parsed["lethe_concurrent_compactions_peak"] == 2
-            assert parsed["lethe_compaction_lease_wait_seconds_count"] == 2
-        finally:
-            engine.close()
-
-    def test_disabled_engine_records_no_lease_metrics(self):
-        engine = LSMEngine(
-            lethe_config(1e9, buffer_pages=4, page_entries=4, size_ratio=3)
-        )
-        try:
-            lease = engine._leases.try_acquire(
-                frozenset({1, 2}), frozenset(), waited_seconds=0.004
-            )
-            engine._leases.release(lease)
-            # The registry's peak tracking still works (tests use it)...
-            assert engine._leases.peak == 1
-            # ...but nothing is recorded into the disabled obs bundle.
-            assert engine.obs.concurrent_compactions_peak.value == 0
-            assert engine.obs.compaction_lease_wait.snapshot()["count"] == 0
-        finally:
-            engine.close()
 
 
 class TestStatsSnapshotUnderLock:

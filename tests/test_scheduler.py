@@ -134,6 +134,37 @@ def test_background_worker_error_reaches_the_write_path():
         scheduler.close()
 
 
+def test_closed_engine_does_not_poison_a_shared_scheduler():
+    """close() on a caller-supplied scheduler unregisters the engine:
+    drain() re-raises the error of any *registered* slot, so a failed
+    engine that stayed registered after its own close() would fail every
+    other member's drain and close forever."""
+    scheduler = BackgroundScheduler(workers=1)
+    a = make_engine(scheduler=scheduler)
+    b = make_engine(scheduler=scheduler)
+    try:
+        def exploding_prepare(*args, **kwargs):
+            raise RuntimeError("merge exploded")
+
+        a.executor.prepare = exploding_prepare
+        with pytest.raises(RuntimeError, match="merge exploded"):
+            ingest_stream(a, 400)
+            a.flush()
+            scheduler.drain()
+        with pytest.raises(RuntimeError, match="merge exploded"):
+            a.close()  # its own error, reported once more — correctly
+        assert list(scheduler._slots) == [id(b)]
+        scheduler.drain()
+        ingest_stream(b, 400)
+        b.flush()
+        scheduler.drain()
+        assert b.stats.background_compactions > 0
+        b.close()
+        assert not scheduler._slots
+    finally:
+        scheduler.close()
+
+
 def test_priority_is_rescored_at_dequeue_not_enqueue():
     """Regression for the frozen-priority bug: an engine whose urgency
     *grows while queued* (its simulated clock passes a FADE deadline)
@@ -381,6 +412,82 @@ def test_stall_gives_up_when_no_task_can_shrink_l1():
         )
         assert engine.stats.write_stalls >= 1
     finally:
+        scheduler.close()
+
+
+def test_flushes_proceed_and_maintenance_waits_while_a_merge_is_parked(tmp_path):
+    """The two halves of the compaction mutex / commit lock split, with
+    one merge parked inside ``executor.prepare``: the write path keeps
+    flushing (Level 1's run count grows — a flush only ever takes the
+    commit lock, which the merge does not hold), while maintenance
+    sections, which need the mutex, wait for the merge to install and
+    then run — ending on the serial engine's read surface."""
+    config = dict(
+        TINY, level1_tiered=True, slowdown_l1_runs=0, stall_l1_runs=0
+    )
+    key_space = 97
+
+    def put_rounds(engine, start, stop):
+        for i in range(start, stop):
+            engine.put(i % key_space, f"v{i}", delete_key=i % 50)
+
+    scheduler = BackgroundScheduler(workers=1)
+    engine = LSMEngine.open(
+        tmp_path / "db",
+        config=lethe_config(1e9, delete_tile_pages=4, **config),
+        scheduler=scheduler,
+    )
+    parked, release = threading.Event(), threading.Event()
+    real_prepare = engine.executor.prepare
+
+    def parked_prepare(*args, **kwargs):
+        parked.set()
+        assert release.wait(10.0), "test never released the parked merge"
+        return real_prepare(*args, **kwargs)
+
+    engine.executor.prepare = parked_prepare
+    try:
+        written = 0
+        while not parked.is_set():
+            assert written < 2000, "no merge was ever dispatched"
+            put_rounds(engine, written, written + 16)
+            written += 16
+            parked.wait(0.05)
+        runs_when_parked = engine._pending_l1_runs()
+        put_rounds(engine, written, written + 96)  # six more buffers
+        written += 96
+        assert engine._pending_l1_runs() >= runs_when_parked + 6, (
+            "flushes must keep installing Level-1 runs beside a merge"
+        )
+
+        finished: list[str] = []
+
+        def maintain():
+            engine.secondary_range_delete(0, 10)
+            finished.append("srd")
+            engine.checkpoint()
+            finished.append("checkpoint")
+
+        thread = threading.Thread(target=maintain, daemon=True)
+        thread.start()
+        time.sleep(0.1)
+        assert thread.is_alive() and not finished, (
+            "maintenance ran through while a merge held the mutex"
+        )
+        release.set()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive(), "maintenance never got the mutex"
+        assert finished == ["srd", "checkpoint"]
+        scheduler.drain()
+
+        serial = make_engine(d_th=1e9)
+        put_rounds(serial, 0, written)
+        serial.secondary_range_delete(0, 10)
+        serial.flush()
+        assert surface(engine) == surface(serial)
+    finally:
+        release.set()
+        engine.close()
         scheduler.close()
 
 

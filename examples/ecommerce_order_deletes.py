@@ -43,7 +43,7 @@ def load_orders(engine: LSMEngine, rng: random.Random) -> dict[int, list[int]]:
 def forget_user(engine: LSMEngine, orders: list[int]) -> None:
     """The right-to-be-forgotten request: range delete the user's block
     plus a couple of point deletes for stragglers."""
-    engine.range_delete(orders[0], orders[-1] + 1)
+    engine.delete_range(orders[0], orders[-1] + 1)
 
 
 def audit(name: str, engine: LSMEngine) -> None:

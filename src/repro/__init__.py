@@ -40,7 +40,6 @@ from repro.compaction.scheduler import (
 )
 from repro.core.clock import SimulatedClock
 from repro.core.config import (
-    BloomFilterScope,
     CompactionTrigger,
     EngineConfig,
     FileSelectionMode,
@@ -96,7 +95,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AsyncIngestQueue",
     "BackgroundScheduler",
-    "BloomFilterScope",
     "CompactionError",
     "CompactionScheduler",
     "CompactionTrigger",

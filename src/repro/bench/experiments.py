@@ -1544,21 +1544,10 @@ def _timed_ingest(engine, ops: list[tuple]) -> tuple[float, list[float]]:
     background scheduler is supposed to fix (an inline flush stalls one
     unlucky put for the whole compaction cascade).
     """
-    handlers = {
-        name: getattr(engine, name)
-        for name in (
-            "put",
-            "delete",
-            "range_delete",
-            "secondary_range_delete",
-            "flush",
-            "advance_time",
-        )
-    }
     latencies: list[float] = []
     started = time.perf_counter()
     for op in ops:
-        handler = handlers[op[0]]
+        handler = getattr(engine, op[0])
         op_started = time.perf_counter()
         handler(*op[1:])
         latencies.append(time.perf_counter() - op_started)

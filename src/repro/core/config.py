@@ -61,17 +61,6 @@ class FileSelectionMode(enum.Enum):
     DD = "dd"
 
 
-class BloomFilterScope(enum.Enum):
-    """Granularity at which Bloom filters are maintained.
-
-    The state of the art keeps one filter per file; KiWi keeps one filter
-    per page so full page drops need no filter reconstruction (§4.2.3).
-    """
-
-    PER_FILE = "per_file"
-    PER_PAGE = "per_page"
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     """Complete configuration of an engine instance.
@@ -92,15 +81,10 @@ class EngineConfig:
         Size of the sort key in bytes. Together with ``entry_size`` this
         fixes the tombstone-size ratio ``λ ≈ key/(key+value)`` from §3.2.1
         (Table 1: λ = 0.1 → key 102 bytes when E = 1024; default 102).
-    delete_key_size:
-        Size of the secondary delete key in bytes (e.g. an 8-byte
-        timestamp). Used by KiWi's memory-overhead accounting (§4.2.3).
     merge_policy:
         Leveling or tiering.
     bits_per_key:
         Bloom filter budget in bits per key (evaluation setup: 10).
-    bloom_scope:
-        Per-file (classic) or per-page (KiWi) Bloom filters.
     delete_tile_pages:
         ``h``, pages per delete tile (Table 1: 16; ``h=1`` = classic layout).
     delete_persistence_threshold:
@@ -215,10 +199,8 @@ class EngineConfig:
     page_entries: int = 4
     entry_size: int = 1024
     key_size: int = 102
-    delete_key_size: int = 8
     merge_policy: MergePolicy = MergePolicy.LEVELING
     bits_per_key: float = 10.0
-    bloom_scope: BloomFilterScope = BloomFilterScope.PER_FILE
     delete_tile_pages: int = 1
     delete_persistence_threshold: float | None = None
     file_selection: FileSelectionMode = FileSelectionMode.SO
@@ -255,10 +237,6 @@ class EngineConfig:
         if not (0 < self.key_size < self.entry_size):
             raise ConfigError(
                 f"key_size must lie in (0, entry_size), got {self.key_size}"
-            )
-        if self.delete_key_size < 1:
-            raise ConfigError(
-                f"delete_key_size must be >= 1, got {self.delete_key_size}"
             )
         if self.bits_per_key <= 0:
             raise ConfigError(f"bits_per_key must be positive, got {self.bits_per_key}")
@@ -427,20 +405,13 @@ def lethe_config(
 ) -> EngineConfig:
     """Convenience constructor for a Lethe engine configuration.
 
-    Lethe = FADE (``D_th`` set, DD-capable triggers) + KiWi (``h``). Bloom
-    filters move to page granularity whenever KiWi is active so that full
-    page drops need no filter rebuild (§4.2.3).
+    Lethe = FADE (``D_th`` set, DD-capable triggers) + KiWi (``h``). The
+    KiWi layout keeps one Bloom filter per page, so full page drops need
+    no filter rebuild (§4.2.3); the classic layout keeps one per file.
     """
-    kiwi_active = delete_tile_pages > 1 or overrides.get("force_kiwi_layout", False)
-    scope = (
-        BloomFilterScope.PER_PAGE
-        if kiwi_active
-        else overrides.pop("bloom_scope", BloomFilterScope.PER_FILE)
-    )
     return EngineConfig(
         delete_persistence_threshold=delete_persistence_threshold,
         delete_tile_pages=delete_tile_pages,
-        bloom_scope=scope,
         **overrides,
     )
 
@@ -454,6 +425,5 @@ def rocksdb_config(**overrides) -> EngineConfig:
     return EngineConfig(
         delete_persistence_threshold=None,
         delete_tile_pages=1,
-        bloom_scope=BloomFilterScope.PER_FILE,
         **overrides,
     )

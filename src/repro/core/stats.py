@@ -250,47 +250,9 @@ class Statistics:
         """
         with self._lock:
             return {
-                name: getattr(self, name)
-                for name in (
-                    "entries_ingested",
-                    "point_tombstones_ingested",
-                    "range_tombstones_ingested",
-                    "blind_deletes_skipped",
-                    "buffer_flushes",
-                    "compactions",
-                    "ttl_triggered_compactions",
-                    "saturation_triggered_compactions",
-                    "full_tree_compactions",
-                    "compaction_bytes_read",
-                    "compaction_bytes_written",
-                    "compaction_entries_in",
-                    "compaction_entries_out",
-                    "tombstones_dropped",
-                    "invalid_entries_purged",
-                    "pages_read",
-                    "pages_written",
-                    "pages_dropped_full",
-                    "pages_dropped_partial",
-                    "bytes_flushed",
-                    "cache_hits",
-                    "cache_misses",
-                    "point_lookups",
-                    "zero_result_lookups",
-                    "range_lookups",
-                    "secondary_range_lookups",
-                    "bloom_probes",
-                    "bloom_hash_computations",
-                    "bloom_false_positives",
-                    "lookup_pages_read",
-                    "range_tombstone_skips",
-                    "secondary_range_deletes",
-                    "srd_pages_read",
-                    "srd_pages_written",
-                    "background_compactions",
-                    "write_slowdowns",
-                    "write_stalls",
-                    "stall_seconds",
-                )
+                spec.name: getattr(self, spec.name)
+                for spec in fields(self)
+                if spec.name != "persistence_records"
             }
 
     def reset_read_counters(self) -> None:

@@ -92,9 +92,6 @@ class LetheClient:
     def delete(self, key: int) -> None:
         self._call(("delete", key))
 
-    def range_delete(self, start: int, end: int) -> None:
-        self._call(("range_delete", start, end))
-
     def delete_range(self, lo: int, hi: int) -> None:
         """Validated range delete over ``[lo, hi)`` (``lo <= hi`` enforced
         client-side by the codec, again server-side on decode)."""

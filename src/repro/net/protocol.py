@@ -15,7 +15,6 @@ Request bodies (all integers little-endian)::
     PUT                    key(8B) dkey_tag(1B) dkey(8B) value_tag(1B) vlen(4B) value
     GET                    key(8B)
     DELETE                 key(8B)
-    RANGE_DELETE           start(8B) end(8B)
     DELETE_RANGE           lo(8B) hi(8B)       # validated: lo <= hi
     SCAN                   lo(8B) hi(8B)
     SECONDARY_RANGE_LOOKUP dlo(8B) dhi(8B)
@@ -38,16 +37,19 @@ engine can persist round-trips the socket unchanged, including ``None``
 ``None`` value answers with ``VALUE`` + the ``None`` tag).
 
 Requests and responses are plain tuples mirroring the engine's
-operation vocabulary (see :mod:`repro.shard.router`): ``("put", key,
-value, delete_key)``, ``("get", key)``, ``("scan", lo, hi)``, … and
-``("ok",)``, ``("value", v)``, ``("miss",)``, ``("pairs", [(k, v),
-…])``, ``("pong",)``, ``("error", message)``.
+operation vocabulary: ``("put", key, value, delete_key)``, ``("get",
+key)``, ``("scan", lo, hi)``, … and ``("ok",)``, ``("value", v)``,
+``("miss",)``, ``("pairs", [(k, v), …])``, ``("pong",)``, ``("error",
+message)``. Which operations are served, under which tag and with which
+of the four body shapes, is read from :mod:`repro.core.ops`; ``ping`` is
+the one request that is wire-only.
 """
 
 from __future__ import annotations
 
 import struct
 
+from repro.core.ops import OPS, SERVED
 from repro.storage.serialization import pack_value, unpack_value
 
 # A frame must hold one request/response; 1 MiB comfortably covers the
@@ -57,16 +59,9 @@ MAX_FRAME_BYTES = 1 << 20
 _LEN = struct.Struct("<I")
 LENGTH_PREFIX_BYTES = _LEN.size
 
-# Request tags (low half of the byte space).
-REQ_PUT = 0x01
-REQ_GET = 0x02
-REQ_DELETE = 0x03
-REQ_RANGE_DELETE = 0x04
-REQ_SCAN = 0x05
-REQ_SECONDARY_RANGE_LOOKUP = 0x06
-REQ_FLUSH = 0x07
+# Request tags (low half of the byte space) belong to the rows of
+# repro.core.ops; the liveness probe has no engine operation behind it.
 REQ_PING = 0x08
-REQ_DELETE_RANGE = 0x09
 
 # Response tags (high bit set).
 RESP_OK = 0x81
@@ -122,47 +117,62 @@ def _check_key(name: str, key) -> int:
 # Requests
 # ---------------------------------------------------------------------------
 
+def _pack_put(op: tuple) -> bytes:
+    _, key, value, *rest = op
+    delete_key = rest[0] if rest else None
+    if delete_key is None:
+        dkey_tag, dkey = _DKEY_NONE, 0
+    else:
+        dkey_tag, dkey = _DKEY_INT, _check_key("delete keys", delete_key)
+    value_tag, payload = pack_value(value)
+    head = _PUT_HEAD.pack(
+        _check_key("keys", key), dkey_tag, dkey, value_tag, len(payload)
+    )
+    return head + payload
+
+
+def _unpack_put(body: bytes) -> tuple:
+    key, dkey_tag, dkey, value_tag, vlen = _PUT_HEAD.unpack_from(body, 0)
+    blob = body[_PUT_HEAD.size :]
+    if len(blob) != vlen:
+        raise ProtocolError(f"put value: declared {vlen} bytes, got {len(blob)}")
+    if dkey_tag not in (_DKEY_NONE, _DKEY_INT):
+        raise ProtocolError(f"unknown delete-key tag {dkey_tag}")
+    value = unpack_value(value_tag, blob)
+    return (key, value, dkey if dkey_tag == _DKEY_INT else None)
+
+
+# The three body shapes that decode as a fixed run of int64 keys; "put"
+# has the variable-length codec above.
+_KEY_BODIES = {"key": _KEY, "range": _PAIR_RANGE, "empty": struct.Struct("<")}
+
+
+def _check_interval(op: tuple) -> None:
+    """``delete_range``'s ``lo <= hi``, enforced on both encode and
+    decode: an inverted interval is adversarial input, not an operation
+    the engine should see — fail the frame, not the server."""
+    if op[0] == "delete_range" and op[1] > op[2]:
+        raise ProtocolError(f"delete_range: lo {op[1]} > hi {op[2]}")
+
+
 def encode_request(op: tuple) -> bytes:
     """Encode one engine-vocabulary operation tuple as a full frame."""
     kind = op[0]
-    if kind == "put":
-        _, key, value, *rest = op
-        delete_key = rest[0] if rest else None
-        if delete_key is None:
-            dkey_tag, dkey = _DKEY_NONE, 0
-        else:
-            dkey_tag, dkey = _DKEY_INT, _check_key("delete keys", delete_key)
-        value_tag, payload = pack_value(value)
-        body = _PUT_HEAD.pack(
-            _check_key("keys", key), dkey_tag, dkey, value_tag, len(payload)
-        )
-        return frame(bytes([REQ_PUT]) + body + payload)
-    if kind == "get":
-        return frame(bytes([REQ_GET]) + _KEY.pack(_check_key("keys", op[1])))
-    if kind == "delete":
-        return frame(bytes([REQ_DELETE]) + _KEY.pack(_check_key("keys", op[1])))
-    if kind == "range_delete":
-        body = _PAIR_RANGE.pack(_check_key("keys", op[1]), _check_key("keys", op[2]))
-        return frame(bytes([REQ_RANGE_DELETE]) + body)
-    if kind == "delete_range":
-        lo = _check_key("keys", op[1])
-        hi = _check_key("keys", op[2])
-        if lo > hi:
-            raise ProtocolError(f"delete_range: lo {lo} > hi {hi}")
-        return frame(bytes([REQ_DELETE_RANGE]) + _PAIR_RANGE.pack(lo, hi))
-    if kind == "scan":
-        body = _PAIR_RANGE.pack(_check_key("keys", op[1]), _check_key("keys", op[2]))
-        return frame(bytes([REQ_SCAN]) + body)
-    if kind == "secondary_range_lookup":
-        body = _PAIR_RANGE.pack(
-            _check_key("delete keys", op[1]), _check_key("delete keys", op[2])
-        )
-        return frame(bytes([REQ_SECONDARY_RANGE_LOOKUP]) + body)
-    if kind == "flush":
-        return frame(bytes([REQ_FLUSH]))
     if kind == "ping":
         return frame(bytes([REQ_PING]))
-    raise ValueError(f"unknown request kind {kind!r}")
+    row = OPS.get(kind)
+    if row is None or row.tag is None:
+        raise ValueError(f"unknown request kind {kind!r}")
+    if row.body == "put":
+        body = _pack_put(op)
+    elif row.body == "key":
+        body = _KEY.pack(_check_key("keys", op[1]))
+    elif row.body == "range":
+        body = _PAIR_RANGE.pack(_check_key("keys", op[1]), _check_key("keys", op[2]))
+        _check_interval(op)
+    else:
+        body = b""
+    return frame(bytes([row.tag]) + body)
 
 
 def decode_request(payload: bytes) -> tuple:
@@ -174,54 +184,27 @@ def decode_request(payload: bytes) -> tuple:
     if not payload:
         raise ProtocolError("empty frame")
     tag, body = payload[0], payload[1:]
+    row = SERVED.get(tag)
+    if row is not None:
+        name, shape = row.name, row.body
+    elif tag == REQ_PING:
+        name, shape = "ping", "empty"
+    else:
+        raise ProtocolError(f"unknown request tag 0x{tag:02x}")
     try:
-        if tag == REQ_PUT:
-            key, dkey_tag, dkey, value_tag, vlen = _PUT_HEAD.unpack_from(body, 0)
-            blob = body[_PUT_HEAD.size :]
-            if len(blob) != vlen:
-                raise ProtocolError(
-                    f"put value: declared {vlen} bytes, got {len(blob)}"
-                )
-            if dkey_tag not in (_DKEY_NONE, _DKEY_INT):
-                raise ProtocolError(f"unknown delete-key tag {dkey_tag}")
-            value = unpack_value(value_tag, blob)
-            return ("put", key, value, dkey if dkey_tag == _DKEY_INT else None)
-        if tag in (REQ_GET, REQ_DELETE):
-            if len(body) != _KEY.size:
-                raise ProtocolError("bad key body length")
-            (key,) = _KEY.unpack(body)
-            return ("get" if tag == REQ_GET else "delete", key)
-        if tag in (
-            REQ_RANGE_DELETE,
-            REQ_DELETE_RANGE,
-            REQ_SCAN,
-            REQ_SECONDARY_RANGE_LOOKUP,
-        ):
-            if len(body) != _PAIR_RANGE.size:
-                raise ProtocolError("bad range body length")
-            lo, hi = _PAIR_RANGE.unpack(body)
-            if tag == REQ_DELETE_RANGE and lo > hi:
-                # An inverted interval is adversarial input, not an op
-                # the engine should see: fail the frame, not the server.
-                raise ProtocolError(f"delete_range: lo {lo} > hi {hi}")
-            kind = {
-                REQ_RANGE_DELETE: "range_delete",
-                REQ_DELETE_RANGE: "delete_range",
-                REQ_SCAN: "scan",
-                REQ_SECONDARY_RANGE_LOOKUP: "secondary_range_lookup",
-            }[tag]
-            return (kind, lo, hi)
-        if tag in (REQ_FLUSH, REQ_PING):
-            if body:
-                raise ProtocolError("unexpected body on bare request")
-            return ("flush",) if tag == REQ_FLUSH else ("ping",)
+        if shape == "put":
+            return (name, *_unpack_put(body))
+        if len(body) != _KEY_BODIES[shape].size:
+            raise ProtocolError(f"bad {shape} body length")
+        op = (name, *_KEY_BODIES[shape].unpack(body))
     except ProtocolError:
         raise
     except Exception as exc:
         # struct underflow, pickle garbage, … — anything a hostile body
         # can trigger is a protocol error, never a server crash.
         raise ProtocolError(f"malformed request body: {exc}") from exc
-    raise ProtocolError(f"unknown request tag 0x{tag:02x}")
+    _check_interval(op)
+    return op
 
 
 # ---------------------------------------------------------------------------

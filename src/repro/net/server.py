@@ -48,6 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import Any
 
+from repro.core.ops import OPS, SERVED
 from repro.net.protocol import (
     LENGTH_PREFIX_BYTES,
     MAX_FRAME_BYTES,
@@ -57,10 +58,11 @@ from repro.net.protocol import (
     parse_length,
 )
 
-# Request kinds that flow through the shared ingest session (everything
-# the router can put in a stream without needing a value back).
+# Request kinds that flow through the shared ingest session: the served
+# operations that are acknowledged rather than answered (everything the
+# router can put in a stream without needing a value back).
 _WRITE_KINDS = frozenset(
-    {"put", "delete", "range_delete", "delete_range", "flush"}
+    row.name for row in SERVED.values() if row.reply == "ok"
 )
 
 _EOF = ("__eof__",)
@@ -299,10 +301,7 @@ class LetheServer:
                     payload = await reader.readexactly(length)
                 except asyncio.IncompleteReadError as exc:
                     raise ProtocolError("truncated frame") from exc
-                if obs.enabled:
-                    with obs.tracer.span("net:parse", bytes=length):
-                        request = decode_request(payload)
-                else:
+                with obs.tracer.span("net:parse", bytes=length):
                     request = decode_request(payload)
             except ProtocolError as exc:
                 self.protocol_errors += 1
@@ -350,15 +349,13 @@ class LetheServer:
                         writer.write(encode_response(response))
                     self.requests_completed += len(batch)
                     await writer.drain()
-                elif request[0] == "ping":
-                    self.request_latency.record(perf_counter() - started)
-                    self.requests_completed += 1
-                    writer.write(encode_response(("pong",)))
-                    await writer.drain()
                 else:
-                    response = await loop.run_in_executor(
-                        self._pool, self._apply_read, request
-                    )
+                    if request[0] == "ping":
+                        response = ("pong",)
+                    else:
+                        response = await loop.run_in_executor(
+                            self._pool, self._apply_read, request
+                        )
                     self.request_latency.record(perf_counter() - started)
                     self.requests_completed += 1
                     writer.write(encode_response(response))
@@ -377,15 +374,8 @@ class LetheServer:
         completes only when every routed sub-batch landed, and durable
         clusters additionally sync the WAL before the first OK leaves.
         """
-        obs = self._obs
         try:
-            if obs.enabled:
-                with obs.tracer.span("net:dispatch", ops=len(requests)):
-                    ticket = self._session.submit(requests)
-                    ticket.wait()
-                    if self._sync_writes:
-                        self.cluster.sync()
-            else:
+            with self._obs.tracer.span("net:dispatch", ops=len(requests)):
                 ticket = self._session.submit(requests)
                 ticket.wait()
                 if self._sync_writes:
@@ -397,33 +387,15 @@ class LetheServer:
             return [("error", message)] * len(requests)
 
     def _apply_read(self, request: tuple) -> tuple:
-        kind = request[0]
-        obs = self._obs
+        """Answer one read: the cluster method of the request's name,
+        its result shaped by the operation's ``reply`` column."""
+        kind, *args = request
         try:
-            span = (
-                obs.tracer.span("net:dispatch", op=kind)
-                if obs.enabled
-                else None
-            )
-            if span is not None:
-                span.__enter__()
-            try:
-                if kind == "get":
-                    value = self.cluster.get(request[1])
-                    return ("miss",) if value is None else ("value", value)
-                if kind == "scan":
-                    return ("pairs", self.cluster.scan(request[1], request[2]))
-                if kind == "secondary_range_lookup":
-                    return (
-                        "pairs",
-                        self.cluster.secondary_range_lookup(
-                            request[1], request[2]
-                        ),
-                    )
-            finally:
-                if span is not None:
-                    span.__exit__(None, None, None)
-            return ("error", f"unhandled request kind {kind!r}")
+            with self._obs.tracer.span("net:dispatch", op=kind):
+                result = getattr(self.cluster, kind)(*args)
+            if OPS[kind].reply == "pairs":
+                return ("pairs", result)
+            return ("miss",) if result is None else ("value", result)
         except Exception as exc:  # noqa: BLE001 - reported to the client
             return ("error", f"{type(exc).__name__}: {exc}")
 

@@ -107,12 +107,12 @@ class Observability:
         sampler; the process-wide :func:`force_enable` override turns on
         metrics and tracing only.
         """
-        configured = bool(getattr(config, "observability", False))
-        enabled = configured or _force_enabled
-        interval_ms = getattr(config, "obs_sample_interval_ms", 0.0)
+        configured = config.observability
         return cls(
-            enabled=enabled,
-            sample_interval=(interval_ms / 1000.0) if configured else 0.0,
+            enabled=configured or _force_enabled,
+            sample_interval=(
+                config.obs_sample_interval_ms / 1000.0 if configured else 0.0
+            ),
         )
 
     # ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The sharded engine: N Lethe engines behind one keyspace-partitioned API.
 
 :class:`ShardedEngine` exposes the complete :class:`~repro.core.engine.
-LSMEngine` surface — ``put``/``delete``/``range_delete``/
+LSMEngine` surface — ``put``/``delete``/``delete_range``/
 ``secondary_range_delete``/``get``/``scan``/``secondary_range_lookup``/
 ``flush``/``advance_time``/``ingest`` — over a cluster of member engines:
 
@@ -674,8 +674,11 @@ class ShardedEngine:
             with topology.locks[index]:
                 return topology.shards[index].delete(key)
 
-    def range_delete(self, start: Any, end: Any) -> None:
-        """Sort-key range delete ``[start, end)`` on every overlapping shard.
+    def delete_range(self, lo: Any, hi: Any) -> None:
+        """Sort-key range delete ``[lo, hi)`` on every overlapping shard.
+
+        Validated like :meth:`LSMEngine.delete_range`: ``lo > hi`` is a
+        caller error, ``lo == hi`` an empty-interval no-op.
 
         The interval is *clipped* to each shard's keyspan before dispatch
         (:meth:`~repro.shard.partitioner.Partitioner.clip_range`): a range
@@ -684,35 +687,27 @@ class ShardedEngine:
         full-width fragment through its compactions. Hash placement
         scatters keys, so there the whole interval goes to every shard.
         """
-        with self._gate.shared():
-            topology = self._topology
-            partitioner = topology.partitioner
-            tasks: list[Callable[[], Any]] = []
-            for index in partitioner.shards_for_range(start, end):
-                lo, hi = partitioner.clip_range(index, start, end)
-                if lo >= hi:
-                    continue  # routed over-inclusively; nothing owned here
-                lock = topology.locks[index]
-                shard = topology.shards[index]
-
-                def task(lock=lock, shard=shard, lo=lo, hi=hi) -> None:
-                    with lock:
-                        shard.range_delete(lo, hi)
-
-                tasks.append(task)
-            self.executor.run(tasks)
-
-    def delete_range(self, lo: Any, hi: Any) -> None:
-        """First-class range delete ``[lo, hi)`` (validated public form).
-
-        Mirrors :meth:`LSMEngine.delete_range`: ``lo > hi`` is a caller
-        error, ``lo == hi`` an empty-interval no-op.
-        """
         if lo > hi:
             raise LetheError(f"delete_range: lo {lo!r} > hi {hi!r}")
         if lo == hi:
             return
-        self.range_delete(lo, hi)
+        with self._gate.shared():
+            topology = self._topology
+            partitioner = topology.partitioner
+            tasks: list[Callable[[], Any]] = []
+            for index in partitioner.shards_for_range(lo, hi):
+                start, end = partitioner.clip_range(index, lo, hi)
+                if start >= end:
+                    continue  # routed over-inclusively; nothing owned here
+                lock = topology.locks[index]
+                shard = topology.shards[index]
+
+                def task(lock=lock, shard=shard, start=start, end=end) -> None:
+                    with lock:
+                        shard.delete_range(start, end)
+
+                tasks.append(task)
+            self.executor.run(tasks)
 
     def secondary_range_delete(self, d_lo: Any, d_hi: Any) -> SecondaryDeleteReport:
         """Scatter-gather delete on the secondary key: all shards, summed bill."""
@@ -867,20 +862,8 @@ class ShardedEngine:
 
     def _run_barrier(self, item: Barrier) -> None:
         """Dispatch one multi-shard (barrier) operation from a stream."""
-        barrier_dispatch = {
-            "range_delete": self.range_delete,
-            "delete_range": self.delete_range,
-            "scan": self.scan,
-            "secondary_range_delete": self.secondary_range_delete,
-            "secondary_range_lookup": self.secondary_range_lookup,
-            "flush": self.flush,
-            "advance_time": self.advance_time,
-        }
-        name = item.operation[0]
-        handler = barrier_dispatch.get(name)
-        if handler is None:  # pragma: no cover - router rejects first
-            raise LetheError(f"unroutable barrier operation {name!r}")
-        handler(*item.operation[1:])
+        name, *args = item.operation
+        getattr(self, name)(*args)
 
     def ingest_session(self, depth: int | None = None) -> "IngestSession":
         """Open a long-lived pipelined ingest handle on this cluster.
@@ -1005,10 +988,10 @@ class ShardedEngine:
             for rt in pending_rts:
                 left_hi = rt.end if rt.end < split_key else split_key
                 if rt.start < left_hi:
-                    left.range_delete(rt.start, left_hi)
+                    left.delete_range(rt.start, left_hi)
                 right_lo = rt.start if rt.start > split_key else split_key
                 if right_lo < rt.end:
-                    right.range_delete(right_lo, rt.end)
+                    right.delete_range(right_lo, rt.end)
             # Migrate into the fresh engines before publishing them: the
             # new members enter the topology fully populated.
             for entry in survivors:
@@ -1119,7 +1102,7 @@ class ShardedEngine:
                 for index in new_partitioner.shards_for_range(rt.start, rt.end):
                     lo, hi = new_partitioner.clip_range(index, rt.start, rt.end)
                     if lo < hi:
-                        new_shards[index].range_delete(lo, hi)
+                        new_shards[index].delete_range(lo, hi)
             # Migrate before publishing, as in split().
             for entry in survivors:
                 new_shards[new_partitioner.shard_for(entry.key)].put(

@@ -61,7 +61,7 @@ class Partitioner(ABC):
         """Every shard that may own a key in ``[lo, hi]``.
 
         Bounds are treated inclusively on both sides: the engine's ``scan``
-        is inclusive of ``hi`` while ``range_delete`` excludes it, and an
+        is inclusive of ``hi`` while ``delete_range`` excludes it, and an
         over-inclusive route only costs a no-op on the extra shard.
         """
 

@@ -21,17 +21,8 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
 from repro.core.errors import LetheError
+from repro.core.ops import OPS, unknown_operation
 from repro.shard.partitioner import Partitioner
-
-# Vocabulary shared with LSMEngine.ingest. Values are the argument
-# positions carrying sort keys: single-key ops route by one key, range
-# ops by a key interval, broadcast ops by nothing at all.
-POINT_OPS = {"put": 1, "delete": 1, "get": 1}
-RANGE_OPS = {"range_delete": (1, 2), "delete_range": (1, 2), "scan": (1, 2)}
-BROADCAST_OPS = frozenset(
-    {"secondary_range_delete", "secondary_range_lookup", "flush", "advance_time"}
-)
-KNOWN_OPS = frozenset(POINT_OPS) | frozenset(RANGE_OPS) | BROADCAST_OPS
 
 
 @dataclass
@@ -64,20 +55,15 @@ class OperationRouter:
         self.max_batch = max_batch
 
     def shards_for(self, operation: tuple) -> tuple[int, ...]:
-        """The shard set an operation must reach."""
-        name = operation[0]
-        if name in POINT_OPS:
-            return (self.partitioner.shard_for(operation[POINT_OPS[name]]),)
-        if name in RANGE_OPS:
-            lo_at, hi_at = RANGE_OPS[name]
-            return self.partitioner.shards_for_range(
-                operation[lo_at], operation[hi_at]
-            )
-        if name in BROADCAST_OPS:
-            return self.partitioner.all_shards()
-        raise LetheError(
-            f"unknown operation {name!r}; expected one of {sorted(KNOWN_OPS)}"
-        )
+        """The shard set an operation must reach (its row's ``route``)."""
+        row = OPS.get(operation[0])
+        if row is None:
+            raise unknown_operation(operation[0])
+        if row.route == "point":
+            return (self.partitioner.shard_for(operation[1]),)
+        if row.route == "range":
+            return self.partitioner.shards_for_range(operation[1], operation[2])
+        return self.partitioner.all_shards()
 
     def batches(
         self, operations: Iterable[tuple]

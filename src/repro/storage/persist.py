@@ -92,7 +92,6 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.core.config import (
-    BloomFilterScope,
     EngineConfig,
     FileSelectionMode,
     MergePolicy,
@@ -118,9 +117,12 @@ _REC_RANGE_TOMBSTONE = 1
 
 _ENUM_FIELDS = {
     "merge_policy": MergePolicy,
-    "bloom_scope": BloomFilterScope,
     "file_selection": FileSelectionMode,
 }
+
+# Retired EngineConfig fields (nothing ever read them) that a CONFIG.json
+# written before their removal still carries.
+_RETIRED_FIELDS = ("bloom_scope", "delete_key_size")
 
 _META_FIELDS = (
     "file_number",
@@ -226,7 +228,7 @@ def config_to_dict(config: EngineConfig) -> dict:
 
 def config_from_dict(payload: dict) -> EngineConfig:
     """Inverse of :func:`config_to_dict`."""
-    kwargs = dict(payload)
+    kwargs = {k: v for k, v in payload.items() if k not in _RETIRED_FIELDS}
     for name, enum_type in _ENUM_FIELDS.items():
         if name in kwargs:
             kwargs[name] = enum_type(kwargs[name])

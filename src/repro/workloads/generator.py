@@ -5,7 +5,7 @@ Produces deterministic operation streams as tuples consumable by
 
 * ``("put", key, value, delete_key)``
 * ``("delete", key)``
-* ``("range_delete", start, end)``
+* ``("delete_range", start, end)``
 * ``("get", key)``
 * ``("scan", lo, hi)``
 
@@ -98,7 +98,7 @@ class WorkloadGenerator:
                 live.difference_update(
                     k for k in list(live) if start <= k < end
                 )
-                yield ("range_delete", start, end)
+                yield ("delete_range", start, end)
 
     # ------------------------------------------------------------------
     # Query phase

@@ -68,7 +68,7 @@ def apply_model(model: dict, op: tuple, counter: list[int]) -> None:
         model[op[1]] = (f"val{counter[0]}", op[2])
     elif kind == "delete":
         model.pop(op[1], None)
-    elif kind in ("range_delete", "delete_range"):
+    elif kind == "delete_range":
         start, end = op[1], op[1] + op[2]
         for key in [k for k in model if start <= k < end]:
             del model[key]
@@ -88,8 +88,6 @@ def apply_engine(engine: LSMEngine, op: tuple, counter: list[int]) -> None:
         engine.put(op[1], f"val{counter[0] + 1}", delete_key=op[2])
     elif kind == "delete":
         engine.delete(op[1])
-    elif kind == "range_delete":
-        engine.range_delete(op[1], op[1] + op[2])
     elif kind == "delete_range":
         engine.delete_range(op[1], op[1] + op[2])
     elif kind == "srd":

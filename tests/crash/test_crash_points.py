@@ -36,7 +36,7 @@ def deterministic_ops() -> list[tuple]:
         if i % 7 == 3:
             ops.append(("delete", (i * 3) % 13))
         if i % 11 == 5:
-            ops.append(("range_delete", 2, 4))
+            ops.append(("delete_range", 2, 4))
         if i % 13 == 6:
             ops.append(("delete_range", 5, 3))
         if i % 9 == 7:

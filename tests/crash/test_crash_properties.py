@@ -45,7 +45,7 @@ CRASH_OPS = st.lists(
         st.tuples(st.just("put"), KEYS, DKEYS),
         st.tuples(st.just("put"), KEYS, DKEYS),
         st.tuples(st.just("delete"), KEYS),
-        st.tuples(st.just("range_delete"), KEYS, st.integers(1, 6)),
+        st.tuples(st.just("delete_range"), KEYS, st.integers(1, 6)),
         st.tuples(st.just("srd"), DKEYS, st.integers(1, 60)),
         st.tuples(st.just("flush")),
         st.tuples(st.just("advance_time"), st.floats(0.01, 0.2)),

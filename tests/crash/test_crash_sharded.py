@@ -43,7 +43,7 @@ CLUSTER_OPS = st.lists(
         st.tuples(st.just("put"), KEYS, DKEYS),
         st.tuples(st.just("put"), KEYS, DKEYS),
         st.tuples(st.just("delete"), KEYS),
-        st.tuples(st.just("range_delete"), KEYS, st.integers(1, 10)),
+        st.tuples(st.just("delete_range"), KEYS, st.integers(1, 10)),
         st.tuples(st.just("srd"), DKEYS, st.integers(1, 60)),
         st.tuples(st.just("flush")),
     ),
@@ -75,8 +75,8 @@ def apply_cluster_op(cluster: ShardedEngine, model: dict, op: tuple, counter) ->
     elif kind == "delete":
         cluster.delete(op[1])
         model.pop(op[1], None)
-    elif kind == "range_delete":
-        cluster.range_delete(op[1], op[1] + op[2])
+    elif kind == "delete_range":
+        cluster.delete_range(op[1], op[1] + op[2])
         for key in [k for k in model if op[1] <= k < op[1] + op[2]]:
             del model[key]
     elif kind == "srd":
@@ -166,7 +166,7 @@ def test_single_shard_streams_recover_exactly():
     """Ops confined to one shard recover to exactly before/after."""
     ops = [("put", key % 15, key * 3 % 120) for key in range(30)]
     ops.insert(10, ("delete", 4))
-    ops.insert(20, ("range_delete", 2, 5))
+    ops.insert(20, ("delete_range", 2, 5))
     total = count_cluster_writes(ops)
     for crash_at in range(0, total, 3):
         with tempfile.TemporaryDirectory() as tmp:
@@ -254,7 +254,7 @@ def test_mid_split_crash_with_straddling_range_tombstone():
     preload = [("put", key % KEY_SPACE, key % 120) for key in range(90)]
     # [22, 38) sits inside shard 1's span [20, 40) and straddles the
     # split key 30 — both children must inherit a clipped piece.
-    rt_op = ("range_delete", 22, 16)
+    rt_op = ("delete_range", 22, 16)
 
     def build(path, injector):
         cluster = make_cluster(path, injector)

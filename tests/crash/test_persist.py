@@ -8,6 +8,8 @@ checkpoint compaction, and the fidelity of reconstructed metadata.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.config import lethe_config, rocksdb_config
@@ -99,6 +101,27 @@ def test_durable_range_tombstone_round_trip():
 def test_config_dict_round_trip():
     config = lethe_config(0.5, delete_tile_pages=4, **TINY)
     assert config_from_dict(config_to_dict(config)) == config
+
+
+def test_store_written_before_the_retired_knobs_still_opens(tmp_path):
+    """A CONFIG.json from before ``bloom_scope`` and ``delete_key_size``
+    left EngineConfig carries both keys; exactly those two are dropped
+    on read, any other unknown key is still an error."""
+    config = rocksdb_config(**TINY)
+    engine = LSMEngine.open(tmp_path / "db", config=config)
+    engine.put(1, "v", delete_key=1)
+    engine.flush()
+    engine.close()
+    config_path = tmp_path / "db" / "CONFIG.json"
+    payload = json.loads(config_path.read_text(encoding="utf-8"))
+    payload.update(bloom_scope="per_file", delete_key_size=8)
+    config_path.write_text(json.dumps(payload), encoding="utf-8")
+    reopened = LSMEngine.open(tmp_path / "db")
+    assert reopened.config == config
+    assert reopened.get(1) == "v"
+    reopened.close()
+    with pytest.raises(TypeError):
+        config_from_dict({**payload, "no_such_knob": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +279,7 @@ def test_wal_tail_replays_into_buffer_with_original_metadata(tmp_path):
     for i in range(40):
         engine.put(i % 20, f"v{i}", delete_key=i)
     engine.delete(3)
-    engine.range_delete(7, 9)
+    engine.delete_range(7, 9)
     original = {
         entry.key: entry for entry in engine.buffer
     }

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.core.config import (
-    BloomFilterScope,
     EngineConfig,
     FileSelectionMode,
     MergePolicy,
@@ -27,7 +26,6 @@ class TestValidation:
             ("page_entries", 0),
             ("entry_size", 1),
             ("key_size", 0),
-            ("delete_key_size", 0),
             ("bits_per_key", 0.0),
             ("delete_tile_pages", 0),
             ("file_pages", 0),
@@ -118,22 +116,19 @@ class TestNamedConfigs:
         assert config.fade_enabled
         assert not config.kiwi_enabled
 
-    def test_lethe_config_with_tiles_uses_page_bloom(self):
+    def test_lethe_config_with_tiles_enables_kiwi(self):
         config = lethe_config(60.0, delete_tile_pages=8)
         assert config.kiwi_enabled
-        assert config.bloom_scope is BloomFilterScope.PER_PAGE
 
     def test_lethe_config_forced_kiwi_at_h1(self):
         config = lethe_config(60.0, delete_tile_pages=1, force_kiwi_layout=True)
         assert config.kiwi_enabled
-        assert config.bloom_scope is BloomFilterScope.PER_PAGE
 
     def test_rocksdb_config_is_baseline(self):
         config = rocksdb_config()
         assert not config.fade_enabled
         assert not config.kiwi_enabled
         assert config.merge_policy is MergePolicy.LEVELING
-        assert config.bloom_scope is BloomFilterScope.PER_FILE
 
     def test_file_selection_modes_exist(self):
         assert {m.value for m in FileSelectionMode} == {"so", "sd", "dd"}

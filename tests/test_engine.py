@@ -90,7 +90,7 @@ class TestRangeDeletes:
     def test_range_delete_hides_covered_keys(self, baseline_engine):
         for key in range(20):
             baseline_engine.put(key, f"v{key}")
-        baseline_engine.range_delete(5, 15)
+        baseline_engine.delete_range(5, 15)
         for key in range(20):
             expected = None if 5 <= key < 15 else f"v{key}"
             assert baseline_engine.get(key) == expected
@@ -99,14 +99,14 @@ class TestRangeDeletes:
         for key in range(20):
             baseline_engine.put(key, f"v{key}")
         baseline_engine.flush()
-        baseline_engine.range_delete(5, 15)
+        baseline_engine.delete_range(5, 15)
         baseline_engine.flush()
         assert baseline_engine.get(7) is None
         assert baseline_engine.get(16) == "v16"
 
     def test_put_after_range_delete_wins(self, baseline_engine):
         baseline_engine.put(7, "old")
-        baseline_engine.range_delete(0, 100)
+        baseline_engine.delete_range(0, 100)
         baseline_engine.put(7, "new")
         assert baseline_engine.get(7) == "new"
 
@@ -114,7 +114,7 @@ class TestRangeDeletes:
         for key in range(10):
             baseline_engine.put(key, f"v{key}")
         baseline_engine.flush()
-        baseline_engine.range_delete(2, 6)
+        baseline_engine.delete_range(2, 6)
         keys = [k for k, _ in baseline_engine.scan(0, 9)]
         assert keys == [0, 1, 6, 7, 8, 9]
 
@@ -311,7 +311,7 @@ class TestIngestDispatch:
                 ("delete", 1),
                 ("get", 2),
                 ("scan", 0, 5),
-                ("range_delete", 90, 95),
+                ("delete_range", 90, 95),
                 ("secondary_range_delete", 15, 25),
             ]
         )

@@ -39,9 +39,8 @@ OPS = st.lists(
         st.tuples(st.just("put"), KEYS, DKEYS),
         st.tuples(st.just("put"), KEYS, DKEYS),
         st.tuples(st.just("delete"), KEYS),
-        st.tuples(st.just("range_delete"), KEYS, st.integers(1, 15)),
-        # delete_range is the validated public spelling; width 0 is the
-        # empty-interval no-op (consumes no seqnum, writes nothing).
+        # Width 0 is the empty-interval no-op (consumes no seqnum,
+        # writes nothing).
         st.tuples(st.just("delete_range"), KEYS, st.integers(0, 15)),
         st.tuples(st.just("srd"), DKEYS, st.integers(1, 120)),
         st.tuples(st.just("flush")),
@@ -117,11 +116,6 @@ def replay(engine: LSMEngine, ops) -> dict:
             issued = engine.delete(key)
             if key in model:
                 assert issued, "delete of an existing key must not be blind-skipped"
-                del model[key]
-        elif op[0] == "range_delete":
-            _, start, width = op
-            engine.range_delete(start, start + width)
-            for key in [k for k in model if start <= k < start + width]:
                 del model[key]
         elif op[0] == "delete_range":
             _, start, width = op

@@ -1,8 +1,9 @@
 """Wire-protocol properties: round trips and adversarial inputs.
 
 Round-trip coverage is exhaustive over the frame vocabulary — every
-request and response kind goes through ``encode → frame split → decode``
-with Hypothesis-generated contents. The adversarial half feeds the
+served row of the operation table (:mod:`repro.core.ops`) and every
+response kind goes through ``encode → frame split → decode`` with
+Hypothesis-generated contents. The adversarial half feeds the
 decoder what a hostile or broken peer would: truncated frames, garbage
 tags, length prefixes announcing gigabytes — and asserts the decoder
 answers with :class:`ProtocolError` (the server's close-connection
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import protocol
+from repro.core.ops import OPS
 from repro.net.protocol import (
     LENGTH_PREFIX_BYTES,
     MAX_FRAME_BYTES,
@@ -51,21 +52,27 @@ def split_payload(wire: bytes) -> bytes:
     return payload
 
 
-REQUESTS = st.one_of(
-    st.tuples(st.just("put"), KEYS, VALUES, st.one_of(st.none(), KEYS)),
-    st.tuples(st.just("get"), KEYS),
-    st.tuples(st.just("delete"), KEYS),
-    st.tuples(st.just("range_delete"), KEYS, KEYS),
-    # delete_range frames are validated (lo <= hi), so generate ordered
-    # pairs; the adversarial suite covers the inverted ones.
-    st.tuples(st.just("delete_range"), KEYS, KEYS).map(
-        lambda t: (t[0], min(t[1], t[2]), max(t[1], t[2]))
-    ),
-    st.tuples(st.just("scan"), KEYS, KEYS),
-    st.tuples(st.just("secondary_range_lookup"), KEYS, KEYS),
-    st.just(("flush",)),
-    st.just(("ping",)),
-)
+# Arguments for each body shape a served row can declare.
+BODY_ARGS = {
+    "put": st.tuples(KEYS, VALUES, st.one_of(st.none(), KEYS)),
+    "key": st.tuples(KEYS),
+    "range": st.tuples(KEYS, KEYS),
+    "empty": st.just(()),
+}
+
+
+@st.composite
+def served_requests(draw):
+    row = draw(st.sampled_from([r for r in OPS.values() if r.tag is not None]))
+    args = draw(BODY_ARGS[row.body])
+    if row.name == "delete_range":
+        # Validated frames (lo <= hi): generate ordered pairs; the
+        # adversarial suite covers the inverted ones.
+        args = tuple(sorted(args))
+    return (row.name, *args)
+
+
+REQUESTS = st.one_of(served_requests(), st.just(("ping",)))
 
 RESPONSES = st.one_of(
     st.just(("ok",)),
@@ -78,9 +85,17 @@ RESPONSES = st.one_of(
 
 
 class TestRoundTrip:
-    @given(op=REQUESTS)
-    def test_every_request_kind(self, op):
-        assert decode_request(split_payload(encode_request(op))) == op
+    @given(op=REQUESTS, junk=st.integers(0, 255))
+    def test_every_request_kind(self, op, junk):
+        """Exact round trip, and the payload must be consumed exactly:
+        every strict prefix and every one-byte extension is refused."""
+        payload = split_payload(encode_request(op))
+        assert decode_request(payload) == op
+        for cut in range(len(payload)):
+            with pytest.raises(ProtocolError):
+                decode_request(payload[:cut])
+        with pytest.raises(ProtocolError):
+            decode_request(payload + bytes([junk]))
 
     @given(resp=RESPONSES)
     def test_every_response_kind(self, resp):
@@ -139,23 +154,6 @@ class TestAdversarial:
             except ProtocolError:
                 pass  # the only acceptable failure mode
 
-    @given(op=REQUESTS, cut=st.integers(min_value=0, max_value=200))
-    def test_truncated_request_bodies_raise_protocol_error(self, op, cut):
-        payload = split_payload(encode_request(op))
-        truncated = payload[: min(cut, len(payload) - 1)]
-        if not truncated:
-            with pytest.raises(ProtocolError):
-                decode_request(truncated)
-            return
-        try:
-            decoded = decode_request(truncated)
-        except ProtocolError:
-            return
-        # Fixed-size bodies cannot be cut without detection; only a put
-        # whose value bytes happen to re-frame could legally decode, and
-        # then only to a *different* put (never a crash).
-        assert decoded[0] == op[0]
-
     @given(resp=RESPONSES, junk=st.binary(min_size=1, max_size=16))
     def test_trailing_garbage_rejected(self, resp, junk):
         payload = split_payload(encode_response(resp))
@@ -172,6 +170,13 @@ class TestAdversarial:
     def test_unknown_request_tag_names_the_tag(self):
         with pytest.raises(ProtocolError, match="0x7f"):
             decode_request(bytes([0x7F]) + b"junk")
+
+    def test_retired_range_delete_tag_is_unknown(self):
+        """0x04 carried the unvalidated ``range_delete``; it is retired,
+        never reused, and a well-formed body does not bring it back."""
+        with pytest.raises(ProtocolError, match="unknown request tag 0x04"):
+            decode_request(bytes([0x04]) + struct.pack("<qq", 1, 5))
+        assert 0x04 not in {row.tag for row in OPS.values()}
 
     def test_empty_payload_rejected(self):
         with pytest.raises(ProtocolError):
@@ -192,7 +197,7 @@ class TestAdversarial:
     def test_inverted_delete_range_raw_frame_rejected_on_decode(self, lo, width):
         """A hostile peer can still put lo > hi on the wire by writing
         the bytes directly; the decoder must refuse the frame."""
-        payload = bytes([protocol.REQ_DELETE_RANGE]) + struct.pack(
+        payload = bytes([OPS["delete_range"].tag]) + struct.pack(
             "<qq", lo, lo - width
         )
         with pytest.raises(ProtocolError, match="delete_range"):
@@ -291,7 +296,7 @@ class TestServerClosesOnProtocolError:
                 with socket.create_connection(
                     ("127.0.0.1", server.port), timeout=10
                 ) as sock:
-                    body = bytes([protocol.REQ_DELETE_RANGE]) + struct.pack(
+                    body = bytes([OPS["delete_range"].tag]) + struct.pack(
                         "<qq", 9, 2
                     )
                     sock.sendall(frame(body))

@@ -41,7 +41,7 @@ def ingest_stream(engine, n, key_space=97):
         if i % 7 == 3:
             engine.delete((i * 3) % key_space)
         if i % 131 == 99:
-            engine.range_delete(5, 9)
+            engine.delete_range(5, 9)
 
 
 def surface(engine, key_space=97):

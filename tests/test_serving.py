@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import struct
 import threading
 import time
 
 import pytest
 
 from repro.core.config import EngineConfig
+from repro.core.ops import OPS
 from repro.net import AsyncLetheClient, ClientPool, LetheClient, LetheServer
-from repro.net.protocol import encode_request
+from repro.net.protocol import FrameDecoder, decode_response, encode_request, frame
 from repro.shard.engine import ShardedEngine
+from repro.shard.partitioner import RangePartitioner
 
 from tests.conftest import TINY
 
@@ -207,6 +210,50 @@ class TestBackpressure:
                         responses.append(decode_response(payload))
                 assert all(r == ("ok",) for r in responses)
         assert cluster.get(flood - 1) == b"x" * 32
+
+
+class TestBadRangeDeleteFrames:
+    """An inverted range delete from the wire costs its sender an error
+    frame and nothing else. Before tag 0x04 was retired such a frame was
+    decoded unchecked, raised on the shard worker of any cluster that
+    maps the interval to one shard, and the ingest queue's sticky error
+    then failed every later write from every connection."""
+
+    @pytest.mark.parametrize(
+        "topology",
+        [dict(n_shards=1), dict(n_shards=None, partitioner=RangePartitioner([100]))],
+        ids=["one-shard-hash", "range-split-at-100"],
+    )
+    def test_only_the_sending_connection_pays(self, topology):
+        cluster = tiny_cluster(**topology)
+        server = LetheServer(cluster).start()
+        try:
+            # Hand-built frames: the client codec refuses to encode these.
+            for tag in (0x04, OPS["delete_range"].tag):
+                with socket.create_connection(
+                    ("127.0.0.1", server.port), timeout=10
+                ) as sock:
+                    sock.sendall(frame(bytes([tag]) + struct.pack("<qq", 9, 5)))
+                    received = b""
+                    while chunk := sock.recv(4096):  # until the hang-up
+                        received += chunk
+                answers = [
+                    decode_response(payload)[0]
+                    for payload in FrameDecoder().feed(received)
+                ]
+                assert answers == ["error"]
+            with LetheClient("127.0.0.1", server.port) as other:
+                other.put(2, b"two")
+                other.put(150, b"far")
+                assert other.get(2) == b"two"
+                other.delete_range(1, 3)
+                other.delete_range(4, 4)
+                assert other.get(2) is None
+                assert other.get(150) == b"far"
+            assert server.protocol_errors == 2
+        finally:
+            server.stop()  # re-raises a poisoned session's error
+            cluster.close()
 
 
 class TestShutdownHygiene:

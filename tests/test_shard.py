@@ -39,7 +39,7 @@ OPS = st.lists(
     st.one_of(
         st.tuples(st.just("put"), KEYS, DKEYS),
         st.tuples(st.just("delete"), KEYS),
-        st.tuples(st.just("range_delete"), KEYS, st.integers(1, 15)),
+        st.tuples(st.just("delete_range"), KEYS, st.integers(1, 15)),
         st.tuples(st.just("srd"), DKEYS, st.integers(1, 120)),
         st.tuples(st.just("flush")),
     ),
@@ -54,8 +54,8 @@ def as_engine_ops(ops):
     for index, op in enumerate(ops):
         if op[0] == "put":
             expanded.append(("put", op[1], f"val{index}", op[2]))
-        elif op[0] == "range_delete":
-            expanded.append(("range_delete", op[1], op[1] + op[2]))
+        elif op[0] == "delete_range":
+            expanded.append(("delete_range", op[1], op[1] + op[2]))
         elif op[0] == "srd":
             expanded.append(("secondary_range_delete", op[1], op[1] + op[2]))
         else:
@@ -255,7 +255,7 @@ def test_mixed_workload_equivalence(name, factory):
         elif roll < 0.7:
             stream.append(("delete", key))
         elif roll < 0.8:
-            stream.append(("range_delete", key, key + rng.randrange(1, 12)))
+            stream.append(("delete_range", key, key + rng.randrange(1, 12)))
         elif roll < 0.9:
             stream.append(("get", key))
         elif roll < 0.97:
@@ -305,7 +305,7 @@ class TestScatterGather:
         )
         for key in range(0, 300, 5):
             cluster.put(key, "x")
-        cluster.range_delete(10, 40)  # entirely inside shard 0
+        cluster.delete_range(10, 40)  # entirely inside shard 0
         stats = cluster.shard_stats()
         assert stats[0].range_tombstones_ingested == 1
         assert stats[1].range_tombstones_ingested == 0

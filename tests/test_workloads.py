@@ -149,7 +149,7 @@ class TestGenerator:
         spec = WorkloadSpec(num_inserts=500, range_delete_fraction=0.01,
                             seed=9)
         ops = list(WorkloadGenerator(spec).ingest_operations())
-        range_deletes = [op for op in ops if op[0] == "range_delete"]
+        range_deletes = [op for op in ops if op[0] == "delete_range"]
         assert len(range_deletes) == 5
 
     def test_zipfian_updates_concentrate(self):

@@ -331,7 +331,7 @@ def fig6g_latency_scaling(
             write_engine.ingest(op for op in ingest_ops if op[0] != "get")
             write_ops = sum(1 for op in ingest_ops if op[0] != "get")
             write_latency = (
-                write_engine.simulated_seconds_io() / max(1, write_ops)
+                write_engine.stats.simulated_io_seconds() / max(1, write_ops)
             )
             series[f"write-{name}"].append(write_latency * 1e3)  # ms
 
@@ -347,8 +347,8 @@ def fig6g_latency_scaling(
                     mixed_engine.get(rng.randint(lo, hi))
                     mixed_ops += 1
             mixed_latency = (
-                mixed_engine.simulated_seconds_io()
-                + mixed_engine.simulated_seconds_hashing()
+                mixed_engine.stats.simulated_io_seconds()
+                + mixed_engine.stats.simulated_hash_seconds()
             ) / max(1, mixed_ops)
             series[f"mixed-{name}"].append(mixed_latency * 1e3)  # ms
 
@@ -591,8 +591,8 @@ def fig6k_cpu_io_tradeoff(
     def _measure(engine, generator) -> tuple[float, float]:
         inserted = generator.inserted_keys
         rng = random.Random(scale.seed + 4)
-        before_io = engine.simulated_seconds_io()
-        before_hash = engine.simulated_seconds_hashing()
+        before_io = engine.stats.simulated_io_seconds()
+        before_hash = engine.stats.simulated_hash_seconds()
         # 50% point queries / 1% range queries against the query budget.
         for _ in range(num_queries):
             engine.get(inserted[rng.randrange(len(inserted))])
@@ -606,8 +606,8 @@ def fig6k_cpu_io_tradeoff(
             d_lo_dom, d_lo_dom + max(1, (d_hi_dom - d_lo_dom) // 7)
         )
         return (
-            engine.simulated_seconds_io() - before_io,
-            engine.simulated_seconds_hashing() - before_hash,
+            engine.stats.simulated_io_seconds() - before_io,
+            engine.stats.simulated_hash_seconds() - before_hash,
         )
 
     baseline_engine, baseline_gen = preload_classic_engine(

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.core.config import lethe_config, rocksdb_config
 from repro.core.engine import LSMEngine
+from repro.core.stats import HASH_SECONDS, PAGE_IO_SECONDS
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.spec import DeleteKeyMode, WorkloadSpec
 
@@ -95,8 +96,8 @@ class RunResult:
     ) -> "RunResult":
         stats = engine.stats
         lookup_io_time = (
-            stats.lookup_pages_read * engine.config.page_io_seconds
-            + stats.bloom_hash_computations * engine.config.hash_seconds
+            stats.lookup_pages_read * PAGE_IO_SECONDS
+            + stats.bloom_hash_computations * HASH_SECONDS
         )
         throughput = (
             stats.point_lookups / lookup_io_time if lookup_io_time > 0 else 0.0

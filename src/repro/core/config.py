@@ -99,11 +99,6 @@ class EngineConfig:
         Pages per on-disk file (sorted-run fragment). The evaluation's
         secondary-range-delete setup uses 256 pages/file; scaled default 64.
         Must be a multiple of ``delete_tile_pages``.
-    page_io_seconds:
-        Simulated latency of one page I/O (§4.2.4 cites ~100 µs SSD access).
-    hash_seconds:
-        Simulated cost of one Bloom-filter hash computation (§4.2.4
-        measured 80 ns for MurmurHash on a 64-bit key).
     real_io_seconds:
         *Real* (wall-clock) seconds slept per simulated page I/O. Default
         0 keeps experiments instantaneous; the parallel-scaling bench sets
@@ -206,8 +201,6 @@ class EngineConfig:
     file_selection: FileSelectionMode = FileSelectionMode.SO
     ingestion_rate: float = 1024.0
     file_pages: int = 64
-    page_io_seconds: float = 100e-6
-    hash_seconds: float = 80e-9
     real_io_seconds: float = 0.0
     avoid_blind_deletes: bool = True
     rocksdb_tombstone_density_selection: bool = False
@@ -263,8 +256,6 @@ class EngineConfig:
             raise ConfigError(
                 f"ingestion_rate must be positive, got {self.ingestion_rate}"
             )
-        if self.page_io_seconds < 0 or self.hash_seconds < 0:
-            raise ConfigError("latency model parameters must be non-negative")
         if self.real_io_seconds < 0:
             raise ConfigError(
                 f"real_io_seconds must be >= 0, got {self.real_io_seconds}"

@@ -628,16 +628,16 @@ class LSMEngine:
                 level1 = self.tree.ensure_level(1)
                 self.manifest.begin_version()
                 with self.tree.install():
-                    if (
-                        self.config.level1_tiered
-                        or self.config.merge_policy is not MergePolicy.LEVELING
-                    ):
-                        level1.add_run(files)
-                    elif level1.is_empty:
+                    pure_leveling = (
+                        not self.config.level1_tiered
+                        and self.config.merge_policy is MergePolicy.LEVELING
+                    )
+                    if pure_leveling and level1.is_empty:
                         level1.merge_into_single_run(files)
                     else:
-                        # Pure leveling (§2): the flushed run is greedily
-                        # sort-merged with Level 1's run. Model it as a
+                        # A tiered Level 1 keeps every flushed run. Under
+                        # pure leveling (§2) the flushed run is greedily
+                        # sort-merged with Level 1's run: model it as a
                         # one-off tiered install that the next compaction
                         # step resolves (see _next_compaction_task);
                         # installing as a transient second run keeps the
@@ -1045,12 +1045,6 @@ class LSMEngine:
     def preview_secondary_delete(self, d_lo: Any, d_hi: Any) -> tuple[int, int, int]:
         """(full, partial, total pages) a secondary delete would touch."""
         return preview_page_drops(self.tree, d_lo, d_hi)
-
-    def simulated_seconds_io(self) -> float:
-        return self.stats.simulated_io_seconds(self.config.page_io_seconds)
-
-    def simulated_seconds_hashing(self) -> float:
-        return self.stats.simulated_hash_seconds(self.config.hash_seconds)
 
     def describe(self) -> str:
         """Human-readable engine snapshot (examples/debugging)."""

@@ -59,14 +59,14 @@ __all__ = [
 
 RANK_CLIENT_POOL_PERMITS = 1000  # net/client.py ClientPool._available
 RANK_CLIENT_POOL_STATE = 1200    # net/client.py ClientPool._lock
-RANK_INGEST_SESSION = 2000       # shard/engine.py IngestSession._lock
-RANK_TOPOLOGY_GATE = 2200        # shard/engine.py _TopologyGate._condition
+RANK_INGEST_SESSION = 2000       # shard/parallel.py IngestSession._lock
+RANK_TOPOLOGY_GATE = 2200        # shard/topology.py _TopologyGate._condition
 RANK_EXECUTOR_POOL = 2400        # shard/parallel.py PooledExecutor._lock
 # Member lock i gets RANK_SHARD_MEMBER + i: quiescent readers
 # (ShardedEngine._locked_view) take every member nested in ascending
 # index order, so each index is its own rank. ~400 shards of headroom
 # before the next band.
-RANK_SHARD_MEMBER = 2600         # shard/engine.py _Topology.locks[i]
+RANK_SHARD_MEMBER = 2600         # shard/topology.py _Topology.locks[i]
 RANK_ENGINE_COMPACTION = 3000    # core/engine.py _compaction_mutex
 RANK_ENGINE_COMMIT = 4000        # core/engine.py _commit_lock
 RANK_WAL_MUTEX = 4500            # storage/persist.py DurableStore._wal_mutex
@@ -77,7 +77,7 @@ RANK_DISK_ALLOC = 8000           # storage/disk.py SimulatedDisk._alloc_lock
 RANK_RUNFILE_COUNTER = 8500      # lsm/runfile.py _counter_lock
 RANK_PERSISTENCE_INDEX = 8800    # core/engine.py _persistence_lock
 RANK_STATS = 9000                # core/stats.py Statistics._lock
-RANK_INGEST_TICKET = 9200        # shard/engine.py IngestTicket._cv
+RANK_INGEST_TICKET = 9200        # shard/parallel.py IngestTicket._cv
 
 
 _validating = os.environ.get("REPRO_LOCKDEP", "").strip().lower() not in (

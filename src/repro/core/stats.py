@@ -41,6 +41,11 @@ from typing import Iterable
 
 from repro.core import locks
 
+# The §4.2.4 latency model: what one simulated page I/O and one
+# Bloom-filter hash cost, in seconds.
+PAGE_IO_SECONDS = 100e-6  # "~100 µs" SSD page access
+HASH_SECONDS = 80e-9  # measured for MurmurHash on a 64-bit key
+
 
 @dataclass
 class PersistenceRecord:
@@ -232,13 +237,13 @@ class Statistics:
             return 0.0
         return self.lookup_pages_read / self.point_lookups
 
-    def simulated_io_seconds(self, page_io_seconds: float) -> float:
+    def simulated_io_seconds(self) -> float:
         """Total simulated time spent on page I/O (reads + writes)."""
-        return (self.pages_read + self.pages_written) * page_io_seconds
+        return (self.pages_read + self.pages_written) * PAGE_IO_SECONDS
 
-    def simulated_hash_seconds(self, hash_seconds: float) -> float:
+    def simulated_hash_seconds(self) -> float:
         """Total simulated time spent computing Bloom-filter hashes."""
-        return self.bloom_hash_computations * hash_seconds
+        return self.bloom_hash_computations * HASH_SECONDS
 
     def snapshot(self) -> dict:
         """A plain-dict copy of all scalar counters (for bench reporting).

@@ -20,39 +20,20 @@ Range-partitioned clusters additionally support :meth:`split` (divide a
 hot shard at a key) and :meth:`rebalance` (recut all split points at the
 observed key quantiles).
 
-Execution model (since PR 2): every multi-shard operation builds one task
-per participating shard and hands the list to a pluggable
-:class:`~repro.shard.parallel.ShardExecutor` — the serial loop by default,
-a thread pool with ``executor="pooled"``. ``ingest`` additionally supports
-a pipelined mode (``ingest_queue_depth > 0``) where the router's per-shard
-batches flow through a bounded :class:`~repro.shard.parallel.
-AsyncIngestQueue` and barriers drain it before executing.
-
-Concurrency model — three pieces, nothing else shared:
-
-1. **One immutable topology snapshot** (:class:`_Topology`: partitioner,
-   router, member engines, per-shard locks), swapped in a single
-   assignment by resharding, so every reader observes a mutually
-   consistent routing state.
-2. **One reader-writer gate**: every cluster operation holds the gate
-   *shared* for its whole duration; :meth:`split`/:meth:`rebalance` hold
-   it *exclusive*. The topology therefore never changes under an
-   in-flight operation — no operation can act on a retired member, and a
-   mutating fan-out never needs to retry or re-route mid-flight. An
-   operation that routed its work before a reshard (pipelined ingest
-   batches) re-routes per key when it observes the snapshot changed.
-3. **One lock per member engine**: every dispatched task holds its
-   shard's lock for its duration, so shards are internally serial,
-   mutually parallel, and ``Statistics`` registries are only ever
-   mutated single-threaded. (The shared clock has its own internal
-   lock — see :mod:`repro.core.clock`.) Background *compactions* are
-   the exception to "internally serial": a shared
-   :class:`~repro.compaction.scheduler.BackgroundScheduler`'s workers
-   compact members without taking shard locks (one merge per member
-   at a time, under that member's compaction mutex) — the counters
-   those merges touch go through the locked ``Statistics.add`` path,
-   and installs serialize on the member's commit/install locks, not
-   the shard lock.
+Concurrency model — three pieces, nothing else shared: one immutable
+topology snapshot and one reader-writer gate that every operation holds
+*shared* and a reshard *exclusive* (both explained in
+:mod:`repro.shard.topology`), and **one lock per member engine**: every
+dispatched task holds its shard's lock for its duration, so shards are
+internally serial, mutually parallel, and ``Statistics`` registries are
+only ever mutated single-threaded. (The shared clock has its own
+internal lock — see :mod:`repro.core.clock`.) Background *compactions*
+are the exception to "internally serial": a shared
+:class:`~repro.compaction.scheduler.BackgroundScheduler`'s workers
+compact members without taking shard locks (one merge per member at a
+time, under that member's compaction mutex) — the counters those merges
+touch go through the locked ``Statistics.add`` path, and installs
+serialize on the member's commit/install locks, not the shard lock.
 
 Gate discipline: shared acquisition happens only in the public entry
 points, never nested (a barrier inside ``ingest`` releases and
@@ -60,150 +41,42 @@ re-acquires through the public method it dispatches), because the
 writer-preferring gate would deadlock a reader that re-enters while a
 writer waits.
 
-Durability (since PR 3): constructing with ``store_path`` gives every
-member engine a :class:`~repro.storage.persist.DurableStore` under a
-private subdirectory and commits the cluster topology to an append-only
-``TOPOLOGY.log``; :meth:`ShardedEngine.open` recovers the whole cluster,
-and :meth:`split`/:meth:`rebalance` are crash-atomic (migrate into new
-directories, publish one topology record, only then delete the retired
-ones). See ``docs/durability.md``.
+Durability: see the ``store_path`` parameter, :meth:`ShardedEngine.open`
+and ``docs/durability.md``.
 """
 
 from __future__ import annotations
 
-import json
-import shutil
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.compaction.scheduler import CompactionScheduler, make_scheduler
-from repro.core import locks
 from repro.core.clock import SimulatedClock
 from repro.core.config import EngineConfig
 from repro.core.engine import LSMEngine
-from repro.core.errors import ConfigError, LetheError, PersistenceError
+from repro.core.errors import ConfigError, LetheError
 from repro.core.stats import Statistics
 from repro.kiwi.range_delete import SecondaryDeleteReport
 from repro.obs import Observability
 from repro.shard.merge import combine_reports, kway_merge
-from repro.shard.parallel import AsyncIngestQueue, ShardExecutor, make_executor
+from repro.shard.parallel import (  # IngestSession/-Ticket: re-exported
+    AsyncIngestQueue,
+    IngestSession,
+    IngestTicket,
+    ShardExecutor,
+    make_executor,
+)
 from repro.shard.partitioner import HashPartitioner, Partitioner, RangePartitioner
 from repro.shard.router import Barrier, OperationRouter, ShardBatch
+from repro.shard.topology import TopologyLog, _Topology, _TopologyGate
 from repro.storage.entry import Entry
-from repro.storage.persist import (
-    DurableStore,
-    FaultInjector,
-    frame_bytes,
-    read_frames,
-)
+from repro.storage.persist import FaultInjector, SimulatedCrash
 
 # Queue bound used when ``ingest(..., pipelined=True)`` is requested on a
 # cluster constructed with ``ingest_queue_depth=0`` (i.e. pipelining was
 # not pre-configured but is explicitly asked for on this call).
 DEFAULT_PIPELINE_DEPTH = 4
-
-
-def _partitioner_to_dict(partitioner: Partitioner) -> dict:
-    if isinstance(partitioner, HashPartitioner):
-        return {"kind": "hash", "n_shards": partitioner.n_shards}
-    if isinstance(partitioner, RangePartitioner):
-        return {"kind": "range", "split_points": list(partitioner.split_points)}
-    raise PersistenceError(
-        f"cannot persist partitioner type {type(partitioner).__name__}"
-    )
-
-
-def _partitioner_from_dict(payload: dict) -> Partitioner:
-    if payload["kind"] == "hash":
-        return HashPartitioner(payload["n_shards"])
-    if payload["kind"] == "range":
-        return RangePartitioner(payload["split_points"])
-    raise PersistenceError(f"unknown partitioner kind {payload['kind']!r}")
-
-
-class _Topology:
-    """One immutable routing snapshot: partitioner, router, members, locks.
-
-    Replaced wholesale (a single attribute assignment, atomic under the
-    interpreter) by :meth:`ShardedEngine.split` / :meth:`~ShardedEngine.
-    rebalance` while they hold the topology gate exclusively, so any
-    operation holding the gate shared observes one stable, mutually
-    consistent (partitioner, shards, locks) triple for its whole run.
-    """
-
-    __slots__ = ("partitioner", "router", "shards", "locks")
-
-    def __init__(
-        self,
-        partitioner: Partitioner,
-        shards: Sequence[LSMEngine],
-        max_batch: int,
-    ):
-        if len(shards) != partitioner.n_shards:
-            raise ConfigError(
-                f"{len(shards)} member engines for "
-                f"{partitioner.n_shards} shards"
-            )
-        self.partitioner = partitioner
-        self.router = OperationRouter(partitioner, max_batch=max_batch)
-        self.shards: list[LSMEngine] = list(shards)
-        # Per-index ranks: the write path holds one member at a time,
-        # but quiescent readers (_locked_view) take all of them nested
-        # in ascending index order — which these ranks make the only
-        # legal order.
-        self.locks: list[Any] = [
-            locks.OrderedRLock(
-                f"shard.member[{i}]", locks.RANK_SHARD_MEMBER + i
-            )
-            for i in range(len(self.shards))
-        ]
-
-
-class _TopologyGate:
-    """A small writer-preferring reader-writer gate.
-
-    Cluster operations hold it shared (many at once); resharding holds
-    it exclusive. A waiting writer blocks new readers, so a reshard
-    cannot be starved by a stream of operations. Not reentrant — see the
-    gate discipline note in the module docstring.
-    """
-
-    def __init__(self) -> None:
-        self._condition = locks.OrderedCondition(
-            "shard.topology-gate", locks.RANK_TOPOLOGY_GATE
-        )
-        self._readers = 0
-        self._writer = False
-
-    @contextmanager
-    def shared(self) -> Iterator[None]:
-        with self._condition:
-            while self._writer:
-                self._condition.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            with self._condition:
-                self._readers -= 1
-                if self._readers == 0:
-                    self._condition.notify_all()
-
-    @contextmanager
-    def exclusive(self) -> Iterator[None]:
-        with self._condition:
-            while self._writer:
-                self._condition.wait()
-            self._writer = True
-            while self._readers:
-                self._condition.wait()
-        try:
-            yield
-        finally:
-            with self._condition:
-                self._writer = False
-                self._condition.notify_all()
 
 
 class ShardedEngine:
@@ -273,7 +146,7 @@ class ShardedEngine:
         ingest_queue_depth: int = 0,
         store_path: str | Path | None = None,
         injector: FaultInjector | None = None,
-        _members: Sequence[LSMEngine] | None = None,
+        _recovered: tuple[TopologyLog, Sequence[LSMEngine]] | None = None,
     ):
         if (n_shards is None) == (partitioner is None):
             raise ConfigError("pass exactly one of n_shards / partitioner")
@@ -301,55 +174,27 @@ class ShardedEngine:
                     f"{partitioner.n_shards} shards"
                 )
         self._gate = _TopologyGate()
-        self._store_path = Path(store_path) if store_path is not None else None
-        self._injector = injector if injector is not None else FaultInjector(armed=False)
-        self._epoch = 0
-        self._dir_seq = 0
-        self._shard_dirs: list[str] = []
-        if _members is not None:
+        # The durable half of the topology; ``None`` for in-memory clusters.
+        self._log: TopologyLog | None = None
+        if _recovered is not None:
             # Recovery path (ShardedEngine.open): members arrive prebuilt
             # (recovered under the serial scheduler); rebind them to the
             # cluster's shared scheduler before they serve traffic.
-            for member in _members:
+            self._log, members = _recovered
+            for member in members:
                 member.scheduler = self.scheduler
                 member._owns_scheduler = False  # cluster-owned, see close()
                 self.scheduler.register(member)
-            self._topology = _Topology(partitioner, list(_members), max_batch)
-        elif self._store_path is None:
+            self._topology = _Topology(partitioner, members, max_batch)
+        else:
+            if store_path is not None:
+                self._log = TopologyLog.create(store_path, injector)
             self._topology = _Topology(
                 partitioner,
-                [
-                    LSMEngine(
-                        shard_config, clock=self.clock, scheduler=self.scheduler
-                    )
-                    for shard_config in configs
-                ],
+                [self._new_member(shard_config) for shard_config in configs],
                 max_batch,
             )
-        else:
-            if (self._store_path / "TOPOLOGY.log").exists():
-                raise PersistenceError(
-                    f"{self._store_path} already holds a cluster; use "
-                    "ShardedEngine.open()"
-                )
-            self._store_path.mkdir(parents=True, exist_ok=True)
-            members = []
-            for shard_config in configs:
-                dirname = self._next_shard_dir()
-                store = DurableStore.create(
-                    self._store_path / dirname, shard_config, self._injector
-                )
-                members.append(
-                    LSMEngine(
-                        shard_config,
-                        clock=self.clock,
-                        store=store,
-                        scheduler=self.scheduler,
-                    )
-                )
-                self._shard_dirs.append(dirname)
-            self._topology = _Topology(partitioner, members, max_batch)
-            self._append_topology(partitioner, self._shard_dirs)
+            self._commit_topology(self._topology)
         # Counters of shards retired by split/rebalance, so cluster totals
         # never go backwards when members are replaced.
         self._retired_stats = Statistics()
@@ -393,35 +238,16 @@ class ShardedEngine:
         """
         from repro.lsm.recovery import recover_engine  # local to avoid cycle
 
-        root = Path(path)
-        log = root / "TOPOLOGY.log"
-        if not log.exists():
-            raise PersistenceError(f"{root} holds no cluster topology log")
-        blob = log.read_bytes()
-        records = [
-            json.loads(payload.decode("utf-8"))
-            for payload in read_frames(blob)
-        ]
-        if not records:
-            raise PersistenceError(f"{log} holds no intact topology record")
-        # A torn tail (real mid-write crash) must be truncated, not just
-        # skipped: _append_topology resumes at end-of-file, and a reshard
-        # record appended behind the damage would be unreadable to the
-        # next open — with the retired shard dirs already deleted.
-        DurableStore._truncate_torn_tail(log, blob, 0)
-        topology_record = records[-1]
-        partitioner = _partitioner_from_dict(topology_record["partitioner"])
-        shard_dirs = list(topology_record["shard_dirs"])
-
+        log, partitioner = TopologyLog.load(path, injector)
         executor_obj = make_executor(executor)
         members: list[LSMEngine] = executor_obj.run(
             [
                 (
                     lambda dirname=dirname: recover_engine(
-                        root / dirname, injector=injector
+                        log.root / dirname, injector=injector
                     )
                 )
-                for dirname in shard_dirs
+                for dirname in log.shard_dirs
             ]
         )
         clock = SimulatedClock(members[0].config.ingestion_rate)
@@ -446,65 +272,38 @@ class ShardedEngine:
             executor=executor_obj,
             scheduler=scheduler,
             ingest_queue_depth=ingest_queue_depth,
-            injector=injector,
-            _members=members,
+            _recovered=(log, members),
         )
-        cluster._store_path = root
-        cluster._epoch = topology_record["epoch"] + 1
-        cluster._dir_seq = topology_record["dir_seq"]
-        cluster._shard_dirs = shard_dirs
-        for orphan in root.glob("shard-*"):
-            if orphan.is_dir() and orphan.name not in shard_dirs:
-                shutil.rmtree(orphan, ignore_errors=True)
+        log.sweep_orphans()
         return cluster
 
     @property
     def store_path(self) -> Path | None:
         """The cluster's durable root directory, or ``None``."""
-        return self._store_path
+        return self._log.root if self._log is not None else None
 
-    def _next_shard_dir(self) -> str:
-        dirname = f"shard-{self._dir_seq:05d}"
-        self._dir_seq += 1
-        return dirname
+    def _new_member(self, config: EngineConfig) -> LSMEngine:
+        """The one place a member engine is built: on the cluster clock
+        and scheduler, over an empty store in a fresh shard directory
+        when the cluster is durable."""
+        store = self._log.create_store(config) if self._log is not None else None
+        return LSMEngine(
+            config, clock=self.clock, store=store, scheduler=self.scheduler
+        )
 
-    def _append_topology(
-        self, partitioner: Partitioner, shard_dirs: list[str]
-    ) -> None:
-        """Append one topology record — the reshard commit point.
-
-        Callers append *before* publishing the new in-memory topology,
-        so a failed append (out of disk, injected crash) leaves memory
-        and disk agreeing on the old cluster — a cluster serving on a
-        topology the log does not name would lose every acknowledged
-        write at the next reopen.
-        """
-        record = {
-            "epoch": self._epoch,
-            "dir_seq": self._dir_seq,
-            "partitioner": _partitioner_to_dict(partitioner),
-            "shard_dirs": list(shard_dirs),
-        }
-        self._injector.before_write("topology")
-        # lint: allow(crash-boundary) — the write sits directly behind
-        # the injector's "topology" label above; crash enumeration sees
-        # it even though it lives outside storage/persist.py.
-        with open(self._store_path / "TOPOLOGY.log", "ab") as handle:
-            handle.write(
-                frame_bytes(json.dumps(record, sort_keys=True).encode("utf-8"))
+    def _commit_topology(self, topology: _Topology) -> None:
+        """Durable clusters: commit ``topology`` to the log (the members'
+        directories in shard order). Must precede its publication."""
+        if self._log is not None:
+            self._log.commit(
+                topology.partitioner,
+                [member.store.path.name for member in topology.shards],
+                self.config.fsync,
             )
-            handle.flush()
-        self._epoch += 1
 
     def checkpoint(self) -> None:
         """Checkpoint every member store (flush + manifest snapshot)."""
-        with self._gate.shared():
-            topology = self._topology
-            self._fan_out(
-                topology,
-                topology.partitioner.all_shards(),
-                lambda shard: shard.checkpoint(),
-            )
+        self._broadcast(lambda shard: shard.checkpoint())
 
     def sync(self) -> None:
         """Force-drain every member's pending WAL batches.
@@ -513,13 +312,7 @@ class ShardedEngine:
         policies (see :class:`~repro.lsm.wal.CommitPolicy`); a no-op for
         in-memory clusters.
         """
-        with self._gate.shared():
-            topology = self._topology
-            self._fan_out(
-                topology,
-                topology.partitioner.all_shards(),
-                lambda shard: shard.sync(),
-            )
+        self._broadcast(lambda shard: shard.sync())
 
     def close(self) -> None:
         """Drain and close every member store, then retire the executor
@@ -656,6 +449,15 @@ class ShardedEngine:
 
         return self.executor.run([task_for(index) for index in indexes])
 
+    def _broadcast(self, call: Callable[[LSMEngine], Any]) -> list[Any]:
+        """``call(member)`` on every shard, under the gate held shared;
+        results in shard order."""
+        with self._gate.shared():
+            topology = self._topology
+            return self._fan_out(
+                topology, topology.partitioner.all_shards(), call
+            )
+
     # ------------------------------------------------------------------
     # Write path (routed)
     # ------------------------------------------------------------------
@@ -711,15 +513,11 @@ class ShardedEngine:
 
     def secondary_range_delete(self, d_lo: Any, d_hi: Any) -> SecondaryDeleteReport:
         """Scatter-gather delete on the secondary key: all shards, summed bill."""
-        with self._gate.shared():
-            topology = self._topology
-            return combine_reports(
-                self._fan_out(
-                    topology,
-                    topology.partitioner.all_shards(),
-                    lambda shard: shard.secondary_range_delete(d_lo, d_hi),
-                )
+        return combine_reports(
+            self._broadcast(
+                lambda shard: shard.secondary_range_delete(d_lo, d_hi)
             )
+        )
 
     # ------------------------------------------------------------------
     # Read path (routed + merged)
@@ -747,27 +545,18 @@ class ShardedEngine:
 
     def secondary_range_lookup(self, d_lo: Any, d_hi: Any) -> list[tuple[Any, Any]]:
         """Scatter-gather lookup on the delete key, merged in sort-key order."""
-        with self._gate.shared():
-            topology = self._topology
-            results = self._fan_out(
-                topology,
-                topology.partitioner.all_shards(),
-                lambda shard: shard.secondary_range_lookup(d_lo, d_hi),
+        return kway_merge(
+            self._broadcast(
+                lambda shard: shard.secondary_range_lookup(d_lo, d_hi)
             )
-        return kway_merge(results)
+        )
 
     # ------------------------------------------------------------------
     # Maintenance (broadcast)
     # ------------------------------------------------------------------
 
     def flush(self) -> None:
-        with self._gate.shared():
-            topology = self._topology
-            self._fan_out(
-                topology,
-                topology.partitioner.all_shards(),
-                lambda shard: shard.flush(),
-            )
+        self._broadcast(lambda shard: shard.flush())
 
     def advance_time(self, seconds: float, check_interval: float | None = None) -> None:
         """Simulate idle time once, cluster-wide.
@@ -801,13 +590,7 @@ class ShardedEngine:
                     shard.store.write_clock(self.clock.now)
 
     def force_full_compaction(self) -> None:
-        with self._gate.shared():
-            topology = self._topology
-            self._fan_out(
-                topology,
-                topology.partitioner.all_shards(),
-                lambda shard: shard.force_full_compaction(),
-            )
+        self._broadcast(lambda shard: shard.force_full_compaction())
 
     # ------------------------------------------------------------------
     # Batched ingest
@@ -868,13 +651,10 @@ class ShardedEngine:
     def ingest_session(self, depth: int | None = None) -> "IngestSession":
         """Open a long-lived pipelined ingest handle on this cluster.
 
-        Unlike :meth:`ingest` (which builds and tears down its per-shard
-        worker threads per call), a session keeps one
-        :class:`~repro.shard.parallel.AsyncIngestQueue` alive across many
-        :meth:`IngestSession.submit` calls — the shape the serving layer
-        needs, where every connection's write batches feed one shared
-        pipeline. ``depth`` defaults to the cluster's configured
-        ``ingest_queue_depth`` (or :data:`DEFAULT_PIPELINE_DEPTH`).
+        Unlike :meth:`ingest`, which builds and tears down its per-shard
+        worker threads per call (see :class:`IngestSession`). ``depth``
+        defaults to the cluster's configured ``ingest_queue_depth`` (or
+        :data:`DEFAULT_PIPELINE_DEPTH`).
         """
         return IngestSession(
             self, depth or self.ingest_queue_depth or DEFAULT_PIPELINE_DEPTH
@@ -909,30 +689,13 @@ class ShardedEngine:
     def split(self, shard_index: int, split_key: Any) -> tuple[int, int]:
         """Divide shard ``shard_index`` at ``split_key`` into two shards.
 
-        The retiring engine's live contents (newest version per key, via a
-        full scan) migrate into two fresh engines; its counters fold into
-        the cluster's retired-stats bucket so aggregate metrics stay
-        monotone. Migration re-ingests entries through the normal write
-        path — ticking the shared clock and paying flush I/O, as a real
-        shard split pays its copy cost. Returns the two new shard indexes.
-
-        Concurrency: holds the topology gate exclusively (no cluster
-        operation is in flight) and publishes the new topology as one
-        snapshot swap, so concurrent callers see either the old cluster
-        or the new one — never a half-retired shard or double-counted
-        counters. Operations arriving during the split block at the gate
-        and route through the new topology once it is published.
+        The retiring engine's live contents migrate into two fresh
+        engines running its config (see :meth:`_reshard`, the mechanism
+        shared with :meth:`rebalance`). Returns the two new shard indexes.
         """
-        with self._gate.exclusive():
-            # No user operation is in flight (exclusive gate); wait out
-            # any background compaction still merging a member before
-            # its engine is retired.
-            self.scheduler.drain()
-            topology = self._topology
-            partitioner = self._require_range_partitioner(
-                "split", topology.partitioner
-            )
-            low, high = partitioner.shard_bounds(shard_index)
+
+        def retire(old: RangePartitioner) -> slice:
+            low, high = old.shard_bounds(shard_index)
             if (low is not None and not low < split_key) or (
                 high is not None and not split_key < high
             ):
@@ -940,197 +703,169 @@ class ShardedEngine:
                     f"split key {split_key!r} outside shard {shard_index} "
                     f"bounds [{low!r}, {high!r})"
                 )
-            retiring = topology.shards[shard_index]
-            # Retire from the scheduler before migrating: the migration
-            # flush must not re-enqueue an engine whose directory is
-            # about to be deleted (its hooks become no-ops).
-            self.scheduler.unregister(retiring)
-            # The migration flush consumes the buffer, and the full scan
-            # applies (then discards) any in-flight range tombstones.
-            # Snapshot them first: their delete *intent* — FADE aging,
-            # persistence accounting, cover for anything re-introduced
-            # later — must survive into the children, re-fragmented at
-            # the split key.
-            pending_rts = list(retiring.buffer.range_tombstones)
-            survivors = _live_entries(retiring)
-            self._retired_stats.merge(retiring.stats)
+            return slice(shard_index, shard_index + 1)
 
-            # Durable clusters migrate into *new* shard directories; the
-            # retiring directory stays intact until the topology record
-            # commits, so a crash anywhere in the migration recovers the
-            # old cluster unharmed.
-            left_store = right_store = None
-            new_dirs: list[str] = []
-            if self._store_path is not None:
-                new_dirs = [self._next_shard_dir(), self._next_shard_dir()]
-                left_store = DurableStore.create(
-                    self._store_path / new_dirs[0], retiring.config, self._injector
-                )
-                right_store = DurableStore.create(
-                    self._store_path / new_dirs[1], retiring.config, self._injector
-                )
-            left = LSMEngine(
-                retiring.config,
-                clock=self.clock,
-                store=left_store,
-                scheduler=self.scheduler,
-            )
-            right = LSMEngine(
-                retiring.config,
-                clock=self.clock,
-                store=right_store,
-                scheduler=self.scheduler,
-            )
-            # Re-issue the snapshotted tombstones *before* the entry
-            # migration: each child records its clipped piece with a
-            # seqnum older than every migrated put, so carried intent
-            # can never delete the survivors re-ingested after it.
-            for rt in pending_rts:
-                left_hi = rt.end if rt.end < split_key else split_key
-                if rt.start < left_hi:
-                    left.delete_range(rt.start, left_hi)
-                right_lo = rt.start if rt.start > split_key else split_key
-                if right_lo < rt.end:
-                    right.delete_range(right_lo, rt.end)
-            # Migrate into the fresh engines before publishing them: the
-            # new members enter the topology fully populated.
-            for entry in survivors:
-                target = left if entry.key < split_key else right
-                target.put(entry.key, entry.value, delete_key=entry.delete_key)
-            new_shards = (
-                topology.shards[:shard_index]
-                + [left, right]
-                + topology.shards[shard_index + 1 :]
-            )
-            new_partitioner = partitioner.with_split(split_key)
-            # Durable commit point first, then the in-memory swap: once
-            # the record is down, memory and disk flip to the new cluster
-            # together; if the append fails, both keep the old one.
-            if self._store_path is not None:
-                retired_dir = self._shard_dirs[shard_index]
-                new_shard_dirs = (
-                    self._shard_dirs[:shard_index]
-                    + new_dirs
-                    + self._shard_dirs[shard_index + 1 :]
-                )
-                self._append_topology(new_partitioner, new_shard_dirs)
-                self._shard_dirs = new_shard_dirs
-            self._topology = _Topology(
-                new_partitioner,
-                new_shards,
-                topology.router.max_batch,
-            )
-            if self._store_path is not None:
-                shutil.rmtree(self._store_path / retired_dir, ignore_errors=True)
+        self._reshard(
+            "split", retire, lambda old, survivors: old.with_split(split_key)
+        )
         return shard_index, shard_index + 1
 
     def rebalance(self) -> list[Any]:
         """Recut every split point at the observed live-key quantiles.
 
-        Collects all live entries, chooses balanced split points, rebuilds
-        every member engine, and re-ingests — the heavyweight cluster-wide
-        analogue of :meth:`split`. The quantile collection (a full scan of
-        every member) dispatches through the executor; the exclusive gate
-        already guarantees nothing else touches the members, and results
-        come back in shard order, so the chosen split points do not depend
-        on the dispatch strategy. Publishes the new topology as one
-        snapshot swap, like :meth:`split`. Returns the new split points.
+        The heavyweight cluster-wide reshard: every member retires, and
+        the new split points are the quantiles of all live keys (results
+        come back from the executor in shard order, so the chosen points
+        do not depend on the dispatch strategy). Returns the new split
+        points.
         """
-        with self._gate.exclusive():
-            self.scheduler.drain()  # as in split(): no merges mid-retire
-            topology = self._topology
-            self._require_range_partitioner("rebalance", topology.partitioner)
-            # Retire every member from the scheduler before the
-            # collection flushes re-enqueue them (see split()); undone if
-            # validation keeps the old cluster.
-            for shard in topology.shards:
-                self.scheduler.unregister(shard)
-            # As in split(): snapshot in-flight range tombstones before
-            # the collection flushes consume them.
-            pending_rts = [
-                rt
-                for shard in topology.shards
-                for rt in shard.buffer.range_tombstones
-            ]
-            survivors: list[Entry] = []
-            per_shard = self.executor.run(
-                [
-                    (lambda shard=shard: _live_entries(shard))
-                    for shard in topology.shards
-                ]
-            )
-            for shard_entries in per_shard:
-                survivors.extend(shard_entries)
-            n_shards = topology.partitioner.n_shards
-            if len(set(e.key for e in survivors)) < n_shards:
-                # Validate before retiring anything: the shards stay live
-                # on this path, so folding their counters into the retired
-                # bucket would double-count every cluster metric from here
-                # on — and they must keep their scheduler slots.
-                for shard in topology.shards:
-                    self.scheduler.register(shard)
+
+        def recut(old: RangePartitioner, survivors: list[Entry]) -> RangePartitioner:
+            keys = [entry.key for entry in survivors]
+            if len(set(keys)) < old.n_shards:
                 raise LetheError(
-                    f"cannot rebalance {n_shards} shards over "
+                    f"cannot rebalance {old.n_shards} shards over "
                     f"{len(survivors)} live keys"
                 )
-            for shard in topology.shards:
-                self._retired_stats.merge(shard.stats)
-            new_partitioner = RangePartitioner.from_keys(
-                [entry.key for entry in survivors], n_shards
-            )
-            new_dirs: list[str] = []
-            new_shards: list[LSMEngine] = []
-            for shard in topology.shards:
-                store = None
-                if self._store_path is not None:
-                    dirname = self._next_shard_dir()
-                    new_dirs.append(dirname)
-                    store = DurableStore.create(
-                        self._store_path / dirname, shard.config, self._injector
-                    )
-                new_shards.append(
-                    LSMEngine(
-                        shard.config,
-                        clock=self.clock,
-                        store=store,
-                        scheduler=self.scheduler,
-                    )
-                )
-            # Carried tombstones first (older seqnums than every migrated
-            # put), clipped to each new owner's keyspan — as in split().
-            for rt in pending_rts:
-                for index in new_partitioner.shards_for_range(rt.start, rt.end):
-                    lo, hi = new_partitioner.clip_range(index, rt.start, rt.end)
-                    if lo < hi:
-                        new_shards[index].delete_range(lo, hi)
-            # Migrate before publishing, as in split().
-            for entry in survivors:
-                new_shards[new_partitioner.shard_for(entry.key)].put(
-                    entry.key, entry.value, delete_key=entry.delete_key
-                )
-            # Commit point before the in-memory swap, as in split().
-            retired_dirs: list[str] = []
-            if self._store_path is not None:
-                retired_dirs = self._shard_dirs
-                self._append_topology(new_partitioner, new_dirs)
-                self._shard_dirs = new_dirs
-            self._topology = _Topology(
-                new_partitioner, new_shards, topology.router.max_batch
-            )
-            for dirname in retired_dirs:
-                shutil.rmtree(self._store_path / dirname, ignore_errors=True)
-            return list(new_partitioner.split_points)
+            return RangePartitioner.from_keys(keys, old.n_shards)
 
-    def _require_range_partitioner(
-        self, operation: str, partitioner: Partitioner | None = None
+        return list(
+            self._reshard(
+                "rebalance", lambda old: slice(0, old.n_shards), recut
+            ).split_points
+        )
+
+    def _reshard(
+        self, operation: str, retire: Callable, choose: Callable
     ) -> RangePartitioner:
-        partitioner = partitioner if partitioner is not None else self.partitioner
-        if not isinstance(partitioner, RangePartitioner):
-            raise ConfigError(
-                f"{operation}() requires a RangePartitioner, cluster uses "
-                f"{partitioner.describe()}"
-            )
-        return partitioner
+        """Replace a contiguous run of members — the one way the
+        cluster's shape changes.
+
+        ``retire(old)`` validates the request against the current
+        partitioner and returns the slice of members that retire;
+        ``choose(old, survivors)`` picks the new partitioner once their
+        live entries are known (and may still refuse). Each fresh member
+        runs the config of the retiring member whose place it takes — a
+        split's second child its parent's. Returns the new partitioner.
+
+        Migration re-ingests the survivors through the normal write path
+        — ticking the shared clock and paying flush I/O, as a real
+        reshard pays its copy cost.
+
+        Concurrency: holds the topology gate exclusively and publishes
+        the new topology as one snapshot swap, so concurrent callers see
+        either the old cluster or the new one — never a half-retired
+        shard or double-counted counters.
+
+        Failure: any step before the topology commit may raise (a
+        refused request, a full disk) and leaves the cluster whole — the
+        old members keep their scheduler slots and are counted once, the
+        half-built ones are closed and their directories removed.
+        """
+        with self._gate.exclusive():
+            # No user operation is in flight (exclusive gate); wait out
+            # any background compaction still merging a member before
+            # its engine is retired.
+            self.scheduler.drain()
+            topology = self._topology
+            old = topology.partitioner
+            if not isinstance(old, RangePartitioner):
+                raise ConfigError(
+                    f"{operation}() requires a RangePartitioner, cluster "
+                    f"uses {old.describe()}"
+                )
+            span = retire(old)
+            retiring = topology.shards[span]
+            fresh: list[LSMEngine] = []
+            try:
+                # Off the scheduler before migrating: the migration flush
+                # must not enqueue an engine whose directory is about to
+                # be deleted (its hooks become no-ops).
+                for member in retiring:
+                    self.scheduler.unregister(member)
+                # The migration flush consumes the buffer, and the full
+                # scan applies (then discards) any in-flight range
+                # tombstones. Snapshot them first: their delete *intent*
+                # — FADE aging, persistence accounting, cover for
+                # anything re-introduced later — must survive into the
+                # fresh members, re-fragmented at the new split points.
+                pending_rts = [
+                    rt for member in retiring for rt in member.buffer.range_tombstones
+                ]
+                per_member = self.executor.run(
+                    [lambda member=member: _live_entries(member) for member in retiring]
+                )
+                survivors = [entry for entries in per_member for entry in entries]
+                partitioner = choose(old, survivors)
+                # Durable clusters migrate into *new* shard directories;
+                # the retiring ones stay intact until the topology record
+                # commits, so a crash anywhere in the migration recovers
+                # the old cluster unharmed.
+                n_fresh = len(retiring) + partitioner.n_shards - old.n_shards
+                fresh.extend(
+                    self._new_member(retiring[min(i, len(retiring) - 1)].config)
+                    for i in range(n_fresh)
+                )
+                members = (
+                    topology.shards[: span.start] + fresh + topology.shards[span.stop :]
+                )
+                # Carried tombstones *before* the entries: each new owner
+                # records its clipped piece with a seqnum older than
+                # every migrated put, so carried intent can never delete
+                # the survivors re-ingested after it. Fresh members only:
+                # a buffered tombstone may be wider than its member's
+                # keyspan (a stale ingest session re-routes them
+                # unclipped), and re-issuing the overhang to a surviving
+                # neighbour — under a new seqnum — would delete writes
+                # that neighbour acknowledged after the original.
+                fresh_span = range(span.start, span.start + n_fresh)
+                for rt in pending_rts:
+                    for index in partitioner.shards_for_range(rt.start, rt.end):
+                        lo, hi = partitioner.clip_range(index, rt.start, rt.end)
+                        if index in fresh_span and lo < hi:
+                            members[index].delete_range(lo, hi)
+                # Migrate before publishing: the fresh members enter the
+                # topology fully populated.
+                for entry in survivors:
+                    members[partitioner.shard_for(entry.key)].put(
+                        entry.key, entry.value, delete_key=entry.delete_key
+                    )
+                new_topology = _Topology(
+                    partitioner, members, topology.router.max_batch
+                )
+                # Durable commit point first, then the in-memory swap:
+                # once the record is down, memory and disk flip to the
+                # new cluster together; if the append fails, both keep
+                # the old one.
+                self._commit_topology(new_topology)
+            except SimulatedCrash:
+                # Process death, not a failure to handle: memory and the
+                # directory stay exactly as the crash left them (open()'s
+                # orphan sweep deals with the leftovers).
+                raise
+            except BaseException:
+                for member in fresh:
+                    self.scheduler.unregister(member)
+                    try:
+                        # Waits out a background merge already running
+                        # on the member, then releases its store handles.
+                        member.close()
+                    except Exception:  # noqa: BLE001 - best effort: the
+                        pass  # reshard's own error is the one to surface
+                for member in retiring:
+                    self.scheduler.register(member)
+                if self._log is not None:
+                    self._log.sweep_orphans()
+                raise
+            # Past the commit point: bookkeeping only. The retired
+            # members' counters fold into the retired bucket (cluster
+            # totals stay monotone) and their directories go.
+            self._topology = new_topology
+            for member in retiring:
+                self._retired_stats.merge(member.stats)
+            if self._log is not None:
+                self._log.sweep_orphans()
+            return partitioner
 
     # ------------------------------------------------------------------
     # Cluster metrics
@@ -1222,170 +957,6 @@ def _entry_counts(topology: _Topology) -> list[int]:
         shard.tree.total_entries + len(shard.buffer)
         for shard in topology.shards
     ]
-
-
-class IngestTicket:
-    """Completion handle for one :meth:`IngestSession.submit`.
-
-    Counts down as the submit's per-shard batches are applied by the
-    queue workers; :meth:`wait` blocks until all of them finished and
-    re-raises the first failure. Tickets are what lets the serving layer
-    acknowledge a client's writes only once they actually landed in the
-    member engines (and, for durable clusters, survived a WAL sync).
-    """
-
-    def __init__(self) -> None:
-        # A leaf: completion callbacks fire from queue workers that may
-        # hold a member engine's locks, never the other way around.
-        self._cv = locks.OrderedCondition(
-            "shard.ingest-ticket", locks.RANK_INGEST_TICKET
-        )
-        self._outstanding = 0
-        self._sealed = False
-        self._error: BaseException | None = None
-
-    def _register(self) -> None:
-        with self._cv:
-            self._outstanding += 1
-
-    def _seal(self) -> None:
-        # Submit finished enqueueing; without this a ticket could look
-        # complete between two of its own batches.
-        with self._cv:
-            self._sealed = True
-            if self._outstanding == 0:
-                self._cv.notify_all()
-
-    def _done(self, error: BaseException | None) -> None:
-        with self._cv:
-            if error is not None and self._error is None:
-                self._error = error
-            self._outstanding -= 1
-            if self._sealed and self._outstanding == 0:
-                self._cv.notify_all()
-
-    def done(self) -> bool:
-        with self._cv:
-            return self._sealed and self._outstanding == 0
-
-    def wait(self, timeout: float | None = None) -> None:
-        """Block until every batch of this submit completed; re-raise
-        the first batch failure."""
-        with self._cv:
-            finished = self._cv.wait_for(
-                lambda: self._sealed and self._outstanding == 0, timeout
-            )
-            if not finished:
-                raise TimeoutError("ingest ticket not complete in time")
-            if self._error is not None:
-                raise self._error
-
-
-class IngestSession:
-    """A long-lived pipelined ingest handle on a :class:`ShardedEngine`.
-
-    Holds one :class:`~repro.shard.parallel.AsyncIngestQueue` (one
-    worker thread per shard, bounded depth) across many :meth:`submit`
-    calls, so concurrent producers — e.g. every connection of the
-    serving layer — share a single bounded pipeline instead of paying
-    per-call worker churn. Each submit returns an :class:`IngestTicket`
-    that completes when that submit's batches have been applied.
-
-    Ordering: submits are serialized by an internal lock, and each
-    shard's batches apply in enqueue order, so two submits' writes to
-    one key land in submit order. Barrier operations inside a stream
-    (``scan``, ``secondary_*``, ``flush``, …) drain the queue first and
-    run inline, exactly like :meth:`ShardedEngine.ingest`; their errors
-    raise out of :meth:`submit` directly.
-
-    A reshard may land between batches — each batch then re-routes
-    through the current topology (see :meth:`ShardedEngine._apply_batch`),
-    so sessions stay correct across :meth:`split`/:meth:`rebalance`.
-    """
-
-    def __init__(self, cluster: ShardedEngine, depth: int):
-        self._cluster = cluster
-        # Outermost rank: submit holds it across barrier drains that
-        # descend through the gate, member locks, and engine internals.
-        self._lock = locks.OrderedLock(
-            "shard.ingest-session", locks.RANK_INGEST_SESSION
-        )
-        self._closed = False
-        topology = cluster._topology
-        self._topology = topology
-
-        def handler_for(index: int) -> Callable[[list], None]:
-            return lambda batch_ops: cluster._apply_batch(
-                topology, index, batch_ops
-            )
-
-        self._queue = AsyncIngestQueue(
-            [handler_for(index) for index in range(topology.partitioner.n_shards)],
-            depth=depth,
-            obs=cluster.obs,
-        )
-        cluster._active_ingest_queue = self._queue
-
-    def submit(self, operations: Iterable[tuple]) -> IngestTicket:
-        """Route and enqueue a stream; returns its completion ticket."""
-        ticket = IngestTicket()
-        with self._lock:
-            if self._closed:
-                raise ConfigError("submit on a closed IngestSession")
-            for item in self._topology.router.batches(operations):
-                if isinstance(item, ShardBatch):
-                    ticket._register()
-                    self._queue.enqueue(
-                        item.shard, item.operations, on_done=ticket._done
-                    )
-                elif isinstance(item, Barrier):
-                    self._queue.drain()
-                    self._cluster._run_barrier(item)
-        ticket._seal()
-        return ticket
-
-    def drain(self) -> None:
-        """Block until every enqueued batch applied; re-raise failures."""
-        self._queue.drain()
-
-    def backlog(self) -> list[int]:
-        return self._queue.backlog()
-
-    def close(self) -> None:
-        """Drain remaining batches, stop the workers, re-raise errors."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        try:
-            self._queue.close()
-        finally:
-            if self._cluster._active_ingest_queue is self._queue:
-                self._cluster._active_ingest_queue = None
-
-    def abort(self) -> None:
-        """Hard-stop the workers, discarding still-queued batches.
-
-        Crash-test hook: already-running batches finish, queued ones are
-        dropped (their tickets fail with ``IngestAborted``), and member
-        stores are left exactly as a kill -9 would — not closed, not
-        drained.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        try:
-            self._queue.abort()
-        finally:
-            if self._cluster._active_ingest_queue is self._queue:
-                self._cluster._active_ingest_queue = None
-
-    def __enter__(self) -> "IngestSession":
-        return self
-
-    def __exit__(self, *_exc_info) -> None:
-        self.close()
 
 
 def _live_entries(engine: LSMEngine) -> list[Entry]:

@@ -1,16 +1,14 @@
-"""Parallel shard execution: pooled fan-out and the async ingest queue.
+"""Parallel shard execution: pooled fan-out and the async ingest pipeline.
 
-PR 1's :class:`~repro.shard.engine.ShardedEngine` made per-shard *work*
-smaller but dispatched it with Python ``for`` loops, so the measured
-reduction never became wall-clock speedup. This module supplies the two
-missing pieces:
+Sharding makes per-shard *work* smaller; this module is what turns that
+into wall-clock speedup:
 
 * **Executors** — a :class:`ShardExecutor` strategy with two
-  implementations: :class:`SerialExecutor` (the original loop, still the
-  default) and :class:`PooledExecutor` (a shared thread pool). Every
+  implementations: :class:`SerialExecutor` (a plain loop, the default)
+  and :class:`PooledExecutor` (a shared thread pool). Every
   multi-shard operation on the cluster (``scan``, ``secondary_range_
   lookup``, ``secondary_range_delete``, ``flush``, ``force_full_
-  compaction``, idle checks, rebalance collection) builds one task per
+  compaction``, idle checks, reshard collection) builds one task per
   shard and hands the list to the executor, which returns results in
   shard order. Member trees share no mutable state except the cluster
   clock (itself thread-safe, see :mod:`repro.core.clock`), and the
@@ -25,6 +23,10 @@ missing pieces:
   instead of unbounded memory). Barriers (multi-shard operations) call
   :meth:`AsyncIngestQueue.drain` so they observe every earlier write —
   the same ordering contract the serial path honours.
+
+* **Ingest sessions** — :class:`IngestSession` holds one such queue open
+  on a :class:`~repro.shard.engine.ShardedEngine` across many submits,
+  each acknowledged through an :class:`IngestTicket`.
 
 Why threads help a GIL-bound interpreter at all: an LSM engine is
 I/O-bound, and I/O waits release the GIL. The simulated disk can inject
@@ -43,11 +45,15 @@ import queue
 import threading
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.core import locks
 from repro.core.errors import ConfigError
 from repro.obs import NULL_OBS
+from repro.shard.router import Barrier, ShardBatch
+
+if TYPE_CHECKING:
+    from repro.shard.engine import ShardedEngine
 
 
 class ShardExecutor(ABC):
@@ -203,8 +209,7 @@ class AsyncIngestQueue:
     per-batch callback invoked by the worker after the batch is applied
     (``fn(None)``), fails (``fn(exc)``), or is discarded behind an
     earlier failure or an :meth:`abort` (``fn(error)``). This is the ack
-    hook the serving layer's :class:`~repro.shard.engine.IngestSession`
-    tickets hang off.
+    hook the serving layer's :class:`IngestSession` tickets hang off.
     """
 
     def __init__(
@@ -346,6 +351,165 @@ class AsyncIngestQueue:
                     pending.task_done()
 
     def __enter__(self) -> "AsyncIngestQueue":
+        return self
+
+    def __exit__(self, *_exc_info) -> None:
+        self.close()
+
+
+class IngestTicket:
+    """Completion handle for one :meth:`IngestSession.submit`.
+
+    Counts down as the submit's per-shard batches are applied by the
+    queue workers; :meth:`wait` blocks until all of them finished and
+    re-raises the first failure. Tickets are what lets the serving layer
+    acknowledge a client's writes only once they actually landed in the
+    member engines (and, for durable clusters, survived a WAL sync).
+    """
+
+    def __init__(self) -> None:
+        # A leaf: completion callbacks fire from queue workers that may
+        # hold a member engine's locks, never the other way around.
+        self._cv = locks.OrderedCondition(
+            "shard.ingest-ticket", locks.RANK_INGEST_TICKET
+        )
+        self._outstanding = 0
+        self._sealed = False
+        self._error: BaseException | None = None
+
+    def _register(self) -> None:
+        with self._cv:
+            self._outstanding += 1
+
+    def _seal(self) -> None:
+        # Submit finished enqueueing; without this a ticket could look
+        # complete between two of its own batches.
+        with self._cv:
+            self._sealed = True
+            if self._outstanding == 0:
+                self._cv.notify_all()
+
+    def _done(self, error: BaseException | None) -> None:
+        with self._cv:
+            if error is not None and self._error is None:
+                self._error = error
+            self._outstanding -= 1
+            if self._sealed and self._outstanding == 0:
+                self._cv.notify_all()
+
+    def done(self) -> bool:
+        with self._cv:
+            return self._sealed and self._outstanding == 0
+
+    def wait(self, timeout: float | None = None) -> None:
+        """Block until every batch of this submit completed; re-raise
+        the first batch failure."""
+        with self._cv:
+            finished = self._cv.wait_for(
+                lambda: self._sealed and self._outstanding == 0, timeout
+            )
+            if not finished:
+                raise TimeoutError("ingest ticket not complete in time")
+            if self._error is not None:
+                raise self._error
+
+
+class IngestSession:
+    """A long-lived pipelined ingest handle on a :class:`ShardedEngine`.
+
+    Holds one :class:`AsyncIngestQueue` (one
+    worker thread per shard, bounded depth) across many :meth:`submit`
+    calls, so concurrent producers — e.g. every connection of the
+    serving layer — share a single bounded pipeline instead of paying
+    per-call worker churn. Each submit returns an :class:`IngestTicket`
+    that completes when that submit's batches have been applied.
+
+    Ordering: submits are serialized by an internal lock, and each
+    shard's batches apply in enqueue order, so two submits' writes to
+    one key land in submit order. Barrier operations inside a stream
+    (``scan``, ``secondary_*``, ``flush``, …) drain the queue first and
+    run inline, exactly like :meth:`ShardedEngine.ingest`; their errors
+    raise out of :meth:`submit` directly.
+
+    A reshard may land between batches — each batch then re-routes
+    through the current topology (see :meth:`ShardedEngine._apply_batch`),
+    so sessions stay correct across a split or rebalance.
+    """
+
+    def __init__(self, cluster: "ShardedEngine", depth: int):
+        self._cluster = cluster
+        # Outermost rank: submit holds it across barrier drains that
+        # descend through the gate, member locks, and engine internals.
+        self._lock = locks.OrderedLock(
+            "shard.ingest-session", locks.RANK_INGEST_SESSION
+        )
+        self._closed = False
+        topology = cluster._topology
+        self._topology = topology
+
+        def handler_for(index: int) -> Callable[[list], None]:
+            return lambda batch_ops: cluster._apply_batch(
+                topology, index, batch_ops
+            )
+
+        self._queue = AsyncIngestQueue(
+            [handler_for(index) for index in range(topology.partitioner.n_shards)],
+            depth=depth,
+            obs=cluster.obs,
+        )
+        cluster._active_ingest_queue = self._queue
+
+    def submit(self, operations: Iterable[tuple]) -> IngestTicket:
+        """Route and enqueue a stream; returns its completion ticket."""
+        ticket = IngestTicket()
+        with self._lock:
+            if self._closed:
+                raise ConfigError("submit on a closed IngestSession")
+            for item in self._topology.router.batches(operations):
+                if isinstance(item, ShardBatch):
+                    ticket._register()
+                    self._queue.enqueue(
+                        item.shard, item.operations, on_done=ticket._done
+                    )
+                elif isinstance(item, Barrier):
+                    self._queue.drain()
+                    self._cluster._run_barrier(item)
+        ticket._seal()
+        return ticket
+
+    def drain(self) -> None:
+        """Block until every enqueued batch applied; re-raise failures."""
+        self._queue.drain()
+
+    def backlog(self) -> list[int]:
+        return self._queue.backlog()
+
+    def close(self) -> None:
+        """Drain remaining batches, stop the workers, re-raise errors."""
+        self._shut(self._queue.close)
+
+    def abort(self) -> None:
+        """Hard-stop the workers, discarding still-queued batches.
+
+        Crash-test hook: already-running batches finish, queued ones are
+        dropped (their tickets fail with ``IngestAborted``), and member
+        stores are left exactly as a kill -9 would — not closed, not
+        drained.
+        """
+        self._shut(self._queue.abort)
+
+    def _shut(self, stop_queue: Callable[[], None]) -> None:
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+        try:
+            stop_queue()
+        finally:
+            if self._cluster._active_ingest_queue is self._queue:
+                self._cluster._active_ingest_queue = None
+
+    def __enter__(self) -> "IngestSession":
         return self
 
     def __exit__(self, *_exc_info) -> None:

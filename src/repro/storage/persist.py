@@ -120,9 +120,12 @@ _ENUM_FIELDS = {
     "file_selection": FileSelectionMode,
 }
 
-# Retired EngineConfig fields (nothing ever read them) that a CONFIG.json
-# written before their removal still carries.
-_RETIRED_FIELDS = ("bloom_scope", "delete_key_size")
+# Retired EngineConfig fields (nothing read the first two; the latency
+# pair only ever had its default, now constants of core/stats.py) that a
+# CONFIG.json written before their removal still carries.
+_RETIRED_FIELDS = (
+    "bloom_scope", "delete_key_size", "page_io_seconds", "hash_seconds",
+)
 
 _META_FIELDS = (
     "file_number",
@@ -478,14 +481,8 @@ class DurableStore:
             os.fsync(handle.fileno())
 
     def _fsync_dir(self, directory: Path) -> None:
-        """Make a rename/unlink durable: fsync the containing directory."""
-        if not self._fsync:
-            return
-        fd = os.open(directory, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        if self._fsync:
+            fsync_dir(directory)
 
     def _write_atomic(self, target: Path, data: bytes, label: str) -> None:
         self.injector.before_write(label)
@@ -496,13 +493,6 @@ class DurableStore:
             self._fsync_handle(handle)
         os.replace(tmp, target)
         self._fsync_dir(target.parent)
-
-    def _append_frame(self, target: Path, payload: bytes, label: str) -> None:
-        self.injector.before_write(label)
-        with open(target, "ab") as handle:
-            handle.write(frame_bytes(payload))
-            handle.flush()
-            self._fsync_handle(handle)
 
     def _unlink_all(self, paths: list[Path], label: str) -> None:
         if not paths:
@@ -768,10 +758,12 @@ class DurableStore:
 
         layout, referenced = self._layout_snapshot(engine, materialize)
         record = self._manifest_record(engine, reason, layout, watermark)
-        self._append_frame(
+        append_frame(
             self._manifest_path,
             json.dumps(record, sort_keys=True).encode("utf-8"),
-            label="manifest",
+            "manifest",
+            self.injector,
+            self._fsync,
         )
 
         live_numbers = {number for number, _generation in referenced}
@@ -973,7 +965,7 @@ class DurableStore:
             },
             sort_keys=True,
         ).encode("utf-8")
-        self._append_frame(target, payload, label="run-delta")
+        append_frame(target, payload, "run-delta", self.injector, self._fsync)
         return True
 
     def read_run(self, file_number: int, generation: int) -> RecoveredRun:
@@ -986,7 +978,7 @@ class DurableStore:
             raise PersistenceError("run blob has a bad magic header")
         # Delta appends resume at end-of-file, so a torn trailing delta
         # (real mid-write crash) must be truncated away like any log tail.
-        self._truncate_if_torn(target, blob, len(_RUN_MAGIC))
+        truncate_torn_tail(target, blob, len(_RUN_MAGIC), self.injector, self._fsync)
         return _decode_run(blob)
 
     # ------------------------------------------------------------------
@@ -1010,7 +1002,7 @@ class DurableStore:
             blob = self._manifest_path.read_bytes()
             for payload in read_frames(blob):
                 records.append(json.loads(payload.decode("utf-8")))
-            self._truncate_if_torn(self._manifest_path, blob, 0)
+            truncate_torn_tail(self._manifest_path, blob, 0, self.injector, self._fsync)
         manifest = records[-1] if records else None
 
         segments: list[RecoveredSegment] = []
@@ -1023,7 +1015,7 @@ class DurableStore:
                 # damage.
                 path.unlink(missing_ok=True)
                 continue
-            self._truncate_if_torn(path, blob, len(_WAL_MAGIC))
+            truncate_torn_tail(path, blob, len(_WAL_MAGIC), self.injector, self._fsync)
             segments.append(segment)
         segments.sort(key=lambda s: s.segment_id)
 
@@ -1042,31 +1034,6 @@ class DurableStore:
             wal_segments=segments,
             clock_now=clock_now,
         )
-
-    def _truncate_if_torn(self, path: Path, blob: bytes, offset: int) -> None:
-        """Truncate a torn frame tail — a *recovery-pass write*.
-
-        Fires a ``torn-truncate`` crash boundary (only when a tear is
-        actually present, which the simulated injector never produces on
-        its own), so the recovery-fault suite can kill recovery in the
-        middle of cleaning a genuinely torn log and assert the second
-        recovery still converges.
-        """
-        intact = intact_prefix_length(blob, offset)
-        if intact < len(blob):
-            self.injector.before_write("torn-truncate")
-            with open(path, "r+b") as handle:
-                handle.truncate(intact)
-                handle.flush()
-                self._fsync_handle(handle)
-
-    @staticmethod
-    def _truncate_torn_tail(path: Path, blob: bytes, offset: int) -> None:
-        """Boundary-free truncation helper (cluster topology log)."""
-        intact = intact_prefix_length(blob, offset)
-        if intact < len(blob):
-            with open(path, "r+b") as handle:
-                handle.truncate(intact)
 
     def mark_recovered(
         self,
@@ -1130,17 +1097,77 @@ def read_frames(blob: bytes, offset: int = 0) -> Iterator[bytes]:
         cursor = end
 
 
+def fsync_dir(directory: Path) -> None:
+    """Make a create/rename/unlink durable: fsync the containing directory."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def append_frame(
+    target: Path, payload: bytes, label: str, injector: FaultInjector, fsync: bool
+) -> None:
+    """Append ``payload`` as one frame behind the ``label`` crash boundary
+    — how a commit record (manifest, cluster topology) goes down.
+
+    A *failed* append (out of space mid-write, an fsync error behind a
+    whole frame) takes back whatever reached the file before it
+    re-raises: the caller carries on as if nothing was committed, so a
+    torn frame left in place would hide every later record from the next
+    restart, and an intact one would commit what the caller rolled back.
+    """
+    injector.before_write(label)
+    start = None
+    try:
+        with open(target, "ab") as handle:
+            start = handle.tell()
+            handle.write(frame_bytes(payload))
+            handle.flush()
+            if fsync:
+                os.fsync(handle.fileno())
+    except BaseException:
+        if start is not None:
+            with open(target, "r+b") as handle:
+                handle.truncate(start)
+                if fsync:
+                    os.fsync(handle.fileno())
+        raise
+
+
+def truncate_torn_tail(
+    path: Path,
+    blob: bytes,
+    offset: int = 0,
+    injector: FaultInjector | None = None,
+    fsync: bool = False,
+) -> None:
+    """Truncate a torn frame tail of ``path`` (whose content is ``blob``)
+    — a *recovery-pass write*.
+
+    With an injector it fires a ``torn-truncate`` crash boundary (only
+    when a tear is actually present, which the simulated injector never
+    produces on its own), so the recovery-fault suite can kill recovery
+    in the middle of cleaning a genuinely torn log and assert the second
+    recovery still converges.
+    """
+    intact = intact_prefix_length(blob, offset)
+    if intact < len(blob):
+        if injector is not None:
+            injector.before_write("torn-truncate")
+        with open(path, "r+b") as handle:
+            handle.truncate(intact)
+            handle.flush()
+            if fsync:
+                os.fsync(handle.fileno())
+
+
 def intact_prefix_length(blob: bytes, offset: int = 0) -> int:
     """Byte length of the intact frame prefix (where a torn tail starts)."""
-    cursor = offset
-    while cursor + _FRAME_HEADER.size <= len(blob):
-        length, crc = _FRAME_HEADER.unpack_from(blob, cursor)
-        start = cursor + _FRAME_HEADER.size
-        end = start + length
-        if end > len(blob) or zlib.crc32(blob[start:end]) != crc:
-            return cursor
-        cursor = end
-    return cursor
+    return offset + sum(
+        _FRAME_HEADER.size + len(payload) for payload in read_frames(blob, offset)
+    )
 
 
 # ---------------------------------------------------------------------------

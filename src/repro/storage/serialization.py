@@ -165,12 +165,6 @@ def unpack_value(tag: int, payload: bytes):
     raise ValueError(f"corrupt durable record: unknown value tag {tag}")
 
 
-# Backwards-compatible aliases (the durable codec predates the public
-# names; repro.net.protocol and new code use the public pair above).
-_pack_value = pack_value
-_unpack_value = unpack_value
-
-
 def encode_durable_entry(entry: Entry) -> bytes:
     """Serialize one entry for the durable backend (lossless round-trip)."""
     if not isinstance(entry.key, int) or isinstance(entry.key, bool):
@@ -191,7 +185,7 @@ def encode_durable_entry(entry: Entry) -> bytes:
         raise TypeError(
             f"durable codec supports int delete keys, got {type(entry.delete_key)}"
         )
-    value_tag, payload = _pack_value(entry.value)
+    value_tag, payload = pack_value(entry.value)
     return header + _FULL_PUT.pack(dkey_tag, dkey, value_tag, len(payload)) + payload
 
 
@@ -220,7 +214,7 @@ def decode_durable_entry(data: bytes, offset: int = 0) -> tuple[Entry, int]:
         key=key,
         seqnum=seqnum,
         kind=EntryKind.PUT,
-        value=_unpack_value(value_tag, payload),
+        value=unpack_value(value_tag, payload),
         delete_key=dkey if dkey_tag == _DKEY_INT else None,
         size=size,
         write_time=write_time,

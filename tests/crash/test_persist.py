@@ -8,6 +8,7 @@ checkpoint compaction, and the fidelity of reconstructed metadata.
 
 from __future__ import annotations
 
+import errno
 import json
 
 import pytest
@@ -18,11 +19,13 @@ from repro.core.errors import PersistenceError
 from repro.kiwi.layout import KiWiFile
 from repro.lsm.recovery import recover_engine
 from repro.storage.entry import Entry, EntryKind, RangeTombstone
+from repro.storage import persist
 from repro.storage.persist import (
     CrashPoint,
     DurableStore,
     FaultInjector,
     SimulatedCrash,
+    append_frame,
     config_from_dict,
     config_to_dict,
     frame_bytes,
@@ -57,6 +60,62 @@ def test_frames_round_trip_and_stop_at_torn_tail():
 def test_frames_tolerate_mid_header_truncation():
     blob = frame_bytes(b"payload")
     assert list(read_frames(blob[:4])) == []
+
+
+class _TearingHandle:
+    """An append handle whose device fills up half-way through a write."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc_info):
+        self._handle.close()
+
+    def tell(self):
+        return self._handle.tell()
+
+    def write(self, data):
+        self._handle.write(data[: len(data) // 2])
+        self._handle.flush()
+        raise OSError(errno.ENOSPC, "injected: no space left on device")
+
+
+@pytest.mark.parametrize("failure", ["torn-write", "fsync-behind-whole-frame"])
+def test_failed_append_takes_its_bytes_back(tmp_path, monkeypatch, failure):
+    """Whoever catches a failed append carries on as if nothing was
+    committed, so nothing of it may stay in the log: a torn frame would
+    hide every later record, a whole one would commit the rolled-back."""
+    target = tmp_path / "LOG"
+    quiet = FaultInjector(armed=False)
+    append_frame(target, b"one", "record", quiet, True)
+    seen = []
+    if failure == "torn-write":
+
+        def tearing_open(path, mode):
+            handle = open(path, mode)
+            return _TearingHandle(handle) if mode == "ab" else handle
+
+        monkeypatch.setattr(persist, "open", tearing_open, raising=False)
+    else:
+        real_fsync = persist.os.fsync
+
+        def failing_fsync(fd):
+            if not seen:
+                seen.append(target.stat().st_size)
+                raise OSError(errno.EIO, "injected: fsync failed")
+            return real_fsync(fd)
+
+        monkeypatch.setattr(persist.os, "fsync", failing_fsync)
+    with pytest.raises(OSError):
+        append_frame(target, b"two", "record", quiet, True)
+    monkeypatch.undo()
+    assert seen in ([], [len(frame_bytes(b"one") + frame_bytes(b"two"))])
+    assert target.read_bytes() == frame_bytes(b"one")
+    append_frame(target, b"three", "record", quiet, True)
+    assert list(read_frames(target.read_bytes())) == [b"one", b"three"]
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +163,10 @@ def test_config_dict_round_trip():
 
 
 def test_store_written_before_the_retired_knobs_still_opens(tmp_path):
-    """A CONFIG.json from before ``bloom_scope`` and ``delete_key_size``
-    left EngineConfig carries both keys; exactly those two are dropped
-    on read, any other unknown key is still an error."""
+    """A CONFIG.json from before ``bloom_scope``, ``delete_key_size``,
+    ``page_io_seconds`` and ``hash_seconds`` left EngineConfig carries
+    those keys; exactly they are dropped on read, any other unknown key
+    is still an error."""
     config = rocksdb_config(**TINY)
     engine = LSMEngine.open(tmp_path / "db", config=config)
     engine.put(1, "v", delete_key=1)
@@ -114,7 +174,12 @@ def test_store_written_before_the_retired_knobs_still_opens(tmp_path):
     engine.close()
     config_path = tmp_path / "db" / "CONFIG.json"
     payload = json.loads(config_path.read_text(encoding="utf-8"))
-    payload.update(bloom_scope="per_file", delete_key_size=8)
+    payload.update(
+        bloom_scope="per_file",
+        delete_key_size=8,
+        page_io_seconds=100e-6,
+        hash_seconds=80e-9,
+    )
     config_path.write_text(json.dumps(payload), encoding="utf-8")
     reopened = LSMEngine.open(tmp_path / "db")
     assert reopened.config == config

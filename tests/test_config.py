@@ -31,7 +31,6 @@ class TestValidation:
             ("file_pages", 0),
             ("delete_persistence_threshold", 0.0),
             ("ingestion_rate", 0.0),
-            ("page_io_seconds", -1.0),
         ],
     )
     def test_rejects_bad_values(self, field, value):

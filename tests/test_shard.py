@@ -8,9 +8,20 @@ partitioners, the router's barrier semantics, split/rebalance, and the
 merged cluster statistics.
 """
 
+import errno
+import os
+import shutil
+import tempfile
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.core.config import lethe_config, rocksdb_config
 from repro.core.engine import LSMEngine
@@ -23,6 +34,7 @@ from repro.shard.partitioner import (
     stable_hash,
 )
 from repro.shard.router import Barrier, OperationRouter, ShardBatch
+from repro.storage.persist import FaultInjector
 from repro.workloads.multi_tenant import MultiTenantSpec, MultiTenantWorkload
 
 from tests.conftest import TINY
@@ -381,6 +393,29 @@ class TestSplitAndRebalance:
         assert cluster.get(40) == "reborn-left"
         assert cluster.get(60) == "reborn-right"
 
+    def test_carried_tombstone_stays_out_of_surviving_neighbours(self):
+        """A buffered tombstone wider than its member's keyspan (a stale
+        ingest session re-routes range deletes unclipped) is carried into
+        the fresh members only: re-issued to a surviving neighbour it
+        would get a new seqnum and delete that neighbour's later writes."""
+        cluster = ShardedEngine(kiwi_cfg(), partitioner=RangePartitioner([300]))
+        session = cluster.ingest_session()
+        try:
+            for key in (120, 160, 220):
+                cluster.put(key, f"v{key}")
+            cluster.split(0, 150)  # the session now routes on a stale topology
+            session.submit([("delete_range", 100, 200)]).wait()
+            assert any(
+                rt.end > 150 for rt in cluster.shards[0].buffer.range_tombstones
+            ), "precondition: shard 0 buffers the interval unclipped"
+            cluster.put(180, "kept")  # shard 1, acknowledged after the delete
+            cluster.split(0, 50)  # retires shard 0 only; [150, 300) survives
+            assert cluster.get(180) == "kept"
+            assert cluster.scan(0, 400) == [(180, "kept"), (220, "v220")]
+        finally:
+            session.close()
+            cluster.close()
+
     def test_rebalance_carries_inflight_range_tombstones(self):
         cluster = ShardedEngine(
             kiwi_cfg(), partitioner=RangePartitioner([1000, 2000, 3000])
@@ -417,6 +452,342 @@ class TestSplitAndRebalance:
             cluster.rebalance()
         # a failed rebalance must not retire live shards' counters
         assert cluster.stats.entries_ingested == 1
+
+
+class _FailOnce(FaultInjector):
+    """Raises ENOSPC at the ``skip + 1``-th write labelled ``label``, once."""
+
+    def __init__(self):
+        super().__init__(armed=False)
+        self.label = None
+        self.skip = 0
+
+    def before_write(self, label):
+        if label == self.label:
+            if self.skip == 0:
+                self.label = None
+                raise OSError(errno.ENOSPC, "injected: no space left on device")
+            self.skip -= 1
+        super().before_write(label)
+
+
+RESHARDS = {
+    "split": lambda cluster: cluster.split(0, 150),
+    "rebalance": lambda cluster: cluster.rebalance(),
+}
+
+
+class TestFailedReshard:
+    """A reshard that fails before its commit point leaves the cluster
+    whole: same members, same counters, same scheduler slots, no stray
+    directory — and the same reshard then succeeds."""
+
+    @pytest.mark.parametrize("reshard", sorted(RESHARDS))
+    @pytest.mark.parametrize(
+        "durable,step",
+        [(False, "put"), (True, "store"), (True, "put"), (True, "topology")],
+    )
+    def test_cluster_stays_whole(self, tmp_path, monkeypatch, reshard, durable, step):
+        injector = _FailOnce()
+        cluster = ShardedEngine(
+            kiwi_cfg(),
+            partitioner=RangePartitioner([300]),
+            scheduler="background",
+            store_path=tmp_path / "cluster" if durable else None,
+            injector=injector,
+        )
+        try:
+            for key in range(600):
+                cluster.put(key, f"v{key}", delete_key=key)
+            # Settle, so the retiring members' own migration flush is a
+            # no-op and the counters can be compared exactly.
+            cluster.flush()
+            cluster.scheduler.drain()
+            surface = cluster.scan(0, 10_000)
+            counters = cluster.stats.snapshot()
+            members = list(cluster.shards)
+
+            if step == "put":
+                real_put, calls = LSMEngine.put, [0]
+
+                def failing_put(self, *args, **kwargs):
+                    calls[0] += 1
+                    if calls[0] == 40:  # mid-migration, past a buffer flush
+                        raise OSError(errno.ENOSPC, "injected")
+                    return real_put(self, *args, **kwargs)
+
+                monkeypatch.setattr(LSMEngine, "put", failing_put)
+            else:
+                # The second store, so one half-built member already
+                # exists; the one topology append.
+                injector.label = {"store": "config", "topology": "topology"}[step]
+                injector.skip = 1 if step == "store" else 0
+            with pytest.raises(OSError):
+                RESHARDS[reshard](cluster)
+            monkeypatch.undo()
+
+            assert cluster.n_shards == 2 and cluster.shards == members
+            assert cluster.stats.snapshot() == counters
+            assert cluster.scan(0, 10_000) == surface
+            self._assert_no_stray_directories(cluster)
+            # Every member kept its scheduler slot: a backlog built by
+            # further writes is compacted away and throttle sees it.
+            for key in range(600, 900):
+                cluster.put(key % 600, f"w{key}", delete_key=key)
+            cluster.flush()
+            cluster.scheduler.drain()
+            for member in cluster.shards:
+                assert cluster.scheduler._slot(member) is not None
+                assert member._pending_l1_runs() < member.config.level1_run_trigger
+            surface = cluster.scan(0, 10_000)
+
+            RESHARDS[reshard](cluster)
+            assert cluster.n_shards == (3 if reshard == "split" else 2)
+            assert cluster.scan(0, 10_000) == surface
+            self._assert_no_stray_directories(cluster)
+        finally:
+            cluster.close()
+        if durable:
+            reopened = ShardedEngine.open(tmp_path / "cluster")
+            assert reopened.scan(0, 10_000) == surface
+            reopened.close()
+
+    @staticmethod
+    def _assert_no_stray_directories(cluster):
+        if cluster.store_path is not None:
+            assert sorted(p.name for p in cluster.store_path.glob("shard-*")) == sorted(
+                member.store.path.name for member in cluster.shards
+            )
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="resolves fsync'd fds through /proc"
+)
+class TestTopologyRecordReachesMedia:
+    """The topology record is the commit point of cluster creation and of
+    every reshard: with ``fsync`` on, the record and the root directory
+    entries it names are synced before any retired directory is removed."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        log = []
+        real_fsync, real_rmtree = os.fsync, shutil.rmtree
+
+        def spy_fsync(fd):
+            log.append(("fsync", os.path.basename(os.readlink(f"/proc/self/fd/{fd}"))))
+            return real_fsync(fd)
+
+        def spy_rmtree(path, *args, **kwargs):
+            log.append(("rmtree", os.path.basename(str(path))))
+            return real_rmtree(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(shutil, "rmtree", spy_rmtree)
+        return log
+
+    @pytest.mark.parametrize("fsync", [True, False])
+    def test_record_and_root_are_synced_before_retired_dirs_go(
+        self, tmp_path, events, fsync
+    ):
+        cluster = ShardedEngine(
+            kiwi_cfg(fsync=fsync),
+            partitioner=RangePartitioner([100]),
+            store_path=tmp_path / "cluster",
+        )
+        for key in range(200):
+            cluster.put(key, f"v{key}", delete_key=key)
+        steps = {"create": list(events)}
+        for name, reshard in (
+            ("split", lambda: cluster.split(0, 50)),
+            ("rebalance", cluster.rebalance),
+        ):
+            del events[:]
+            reshard()
+            steps[name] = list(events)
+        cluster.close()
+        for name, log in steps.items():
+            synced = [target for kind, target in log if kind == "fsync"]
+            if not fsync:
+                assert synced == [], name
+                continue
+            assert "TOPOLOGY.log" in synced and "cluster" in synced, name
+            removals = [i for i, (kind, _) in enumerate(log) if kind == "rmtree"]
+            assert (name == "create") == (not removals)
+            for target in (("fsync", "TOPOLOGY.log"), ("fsync", "cluster")):
+                last = max(i for i, event in enumerate(log) if event == target)
+                assert all(last < i for i in removals), name
+
+
+    @pytest.mark.parametrize("reshard", sorted(RESHARDS))
+    def test_record_whose_fsync_failed_is_taken_back(
+        self, tmp_path, monkeypatch, reshard
+    ):
+        """The append can fail *behind* a whole frame (an fsync error):
+        the cluster rolls back, so the record must not stay in the log —
+        it names directories the rollback removes."""
+        cluster = ShardedEngine(
+            kiwi_cfg(fsync=True),
+            partitioner=RangePartitioner([300]),
+            store_path=tmp_path / "cluster",
+        )
+        for key in range(600):
+            cluster.put(key, f"v{key}", delete_key=key)
+        surface = cluster.scan(0, 10_000)
+        log_path = tmp_path / "cluster" / "TOPOLOGY.log"
+        committed = log_path.read_bytes()
+        real_fsync, failed = os.fsync, []
+
+        def failing_fsync(fd):
+            target = os.path.basename(os.readlink(f"/proc/self/fd/{fd}"))
+            if not failed and target == log_path.name:
+                failed.append(os.path.getsize(log_path))
+                raise OSError(errno.EIO, "injected: fsync failed")
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError):
+            RESHARDS[reshard](cluster)
+        monkeypatch.undo()
+        assert failed[0] > len(committed), "the whole frame had reached the file"
+        assert log_path.read_bytes() == committed
+        TestFailedReshard._assert_no_stray_directories(cluster)
+
+        RESHARDS[reshard](cluster)
+        assert cluster.scan(0, 10_000) == surface
+        cluster.close()
+        reopened = ShardedEngine.open(tmp_path / "cluster")
+        assert reopened.scan(0, 10_000) == surface
+        reopened.close()
+
+
+class ReshardMachine(RuleBasedStateMachine):
+    """Writes, range deletes, flushes and reshards in any order on a small
+    range-partitioned cluster, against a dict model."""
+
+    durable = False
+    DOMAIN = 60  # keys 0..59; the outer shards are unbounded beyond it
+
+    def __init__(self):
+        super().__init__()
+        self.root = tempfile.mkdtemp() if self.durable else None
+        self.cluster = ShardedEngine(
+            kiwi_cfg(),
+            partitioner=RangePartitioner([20, 40]),
+            store_path=os.path.join(self.root, "c") if self.durable else None,
+        )
+        self.model: dict = {}
+        self.counters = self.cluster.stats.snapshot()
+        self.writes = 0
+
+    def teardown(self):
+        self.cluster.close()
+        if self.root is not None:
+            shutil.rmtree(self.root, ignore_errors=True)
+
+    def _interior_keys(self, index, margin=0):
+        """Keys at which shard ``index`` may be split, at least ``margin``
+        keys away from both ends of its span inside the domain."""
+        low, high = self.cluster.partitioner.shard_bounds(index)
+        low = 0 if low is None else low
+        high = self.DOMAIN if high is None else high
+        return range(low + 1 + margin, high - margin)
+
+    def _delete_range(self, lo, hi):
+        self.cluster.delete_range(lo, hi)
+        for key in [k for k in self.model if lo <= k < hi]:
+            del self.model[key]
+
+    @rule(key=st.integers(0, 59), dkey=DKEYS)
+    def put(self, key, dkey):
+        self.writes += 1
+        self.cluster.put(key, f"v{self.writes}", delete_key=dkey)
+        self.model[key] = f"v{self.writes}"
+
+    @rule(key=st.integers(0, 59))
+    def delete(self, key):
+        self.cluster.delete(key)
+        self.model.pop(key, None)
+
+    @rule(lo=st.integers(0, 59), width=st.integers(1, 25))
+    def delete_range(self, lo, width):
+        self._delete_range(lo, lo + width)
+
+    @rule()
+    def flush(self):
+        self.cluster.flush()
+
+    @precondition(lambda self: self.cluster.n_shards < 6)
+    @rule(data=st.data())
+    def split(self, data):
+        index = data.draw(st.integers(0, self.cluster.n_shards - 1))
+        keys = self._interior_keys(index)
+        if keys:
+            self.cluster.split(index, data.draw(st.sampled_from(keys)))
+
+    @precondition(lambda self: self.cluster.n_shards < 6)
+    @rule(data=st.data())
+    def split_under_a_straddling_range_delete(self, data):
+        """The un-flushed tombstone lives whole in one member's buffer
+        and must reach both children, clipped, hiding exactly its keys."""
+        index = data.draw(st.integers(0, self.cluster.n_shards - 1))
+        keys = self._interior_keys(index, margin=1)
+        if not keys:
+            return
+        split_key = data.draw(st.sampled_from(keys))
+        span = self._interior_keys(index)
+        lo = data.draw(st.integers(span[0] - 1, split_key - 1))
+        hi = data.draw(st.integers(split_key + 1, span[-1] + 1))
+        self._delete_range(lo, hi)
+        # Still buffered unless this very write filled the buffer (a
+        # flush takes every buffered tombstone with it).
+        carried = bool(list(self.cluster.shards[index].buffer.range_tombstones))
+        left, right = self.cluster.split(index, split_key)
+        assert all(self.cluster.get(key) is None for key in range(lo, hi))
+        if carried:
+            stats = self.cluster.shard_stats()
+            assert stats[left].range_tombstones_ingested >= 1
+            assert stats[right].range_tombstones_ingested >= 1
+
+    @rule()
+    def rebalance(self):
+        if len(self.model) < self.cluster.n_shards:
+            with pytest.raises(LetheError):
+                self.cluster.rebalance()
+        else:
+            self.cluster.rebalance()
+
+    @precondition(lambda self: self.durable)
+    @rule()
+    def reopen(self):
+        self.cluster.close()
+        self.cluster = ShardedEngine.open(self.cluster.store_path)
+        self.counters = self.cluster.stats.snapshot()  # counters restart
+
+    @invariant()
+    def cluster_matches_model(self):
+        assert self.cluster.scan(-1, self.DOMAIN + 30) == sorted(self.model.items())
+        assert sum(self.cluster.shard_entry_counts()) >= len(self.model)
+        counters = self.cluster.stats.snapshot()
+        shrunk = {
+            name: (self.counters[name], value)
+            for name, value in counters.items()
+            if value < self.counters[name]
+        }
+        assert not shrunk, f"cluster counters went backwards: {shrunk}"
+        self.counters = counters
+
+
+class DurableReshardMachine(ReshardMachine):
+    durable = True
+
+
+_RESHARD_MACHINE_SETTINGS = settings(
+    max_examples=80, stateful_step_count=30, deadline=None
+)
+TestReshardMachine = ReshardMachine.TestCase
+TestReshardMachine.settings = _RESHARD_MACHINE_SETTINGS
+TestDurableReshardMachine = DurableReshardMachine.TestCase
+TestDurableReshardMachine.settings = _RESHARD_MACHINE_SETTINGS
 
 
 class TestClusterMetricsAndMaintenance:

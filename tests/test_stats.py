@@ -58,8 +58,8 @@ class TestStatistics:
         stats.pages_read = 3
         stats.pages_written = 2
         stats.bloom_hash_computations = 1000
-        assert stats.simulated_io_seconds(100e-6) == pytest.approx(5 * 100e-6)
-        assert stats.simulated_hash_seconds(80e-9) == pytest.approx(8e-5)
+        assert stats.simulated_io_seconds() == pytest.approx(5 * 100e-6)
+        assert stats.simulated_hash_seconds() == pytest.approx(8e-5)
 
     def test_snapshot_covers_all_counters(self):
         stats = Statistics()

@@ -120,25 +120,6 @@ def pick_min_overlap(
     return best
 
 
-def pick_most_tombstones(level: Level) -> RunFile | None:
-    """RocksDB's tombstone-density heuristic (§3.1.3): most tombstones wins.
-
-    Ties break by the oldest tombstone, then file number (deterministic).
-    """
-    best: RunFile | None = None
-    best_key: tuple | None = None
-    for candidate in level.files():
-        oldest = candidate.meta.oldest_tombstone_time
-        key = (
-            -candidate.tombstone_count,
-            oldest if oldest is not None else float("inf"),
-            candidate.meta.file_number,
-        )
-        if best_key is None or key < best_key:
-            best, best_key = candidate, key
-    return best
-
-
 def pick_highest_b(
     level: Level, estimate_b: Callable[[RunFile], float]
 ) -> RunFile | None:

@@ -2,9 +2,9 @@
 
 Responsibilities: select the overlapping victim files in the target level,
 run the k-way merge with tombstone semantics, materialize the output run
-in the active layout, install it, release consumed files, charge all I/O
-and byte counters, and notify the engine of every tombstone that became
-persistent (for delete-persistence-latency accounting).
+in the active layout, install it in place of the consumed files, charge
+all I/O and byte counters, and notify the engine of every tombstone that
+became persistent (for delete-persistence-latency accounting).
 
 Execution is split into two phases so the background compaction
 scheduler (:mod:`repro.compaction.scheduler`) can run the expensive part
@@ -18,10 +18,9 @@ off the write path:
   the install phase, so nothing here races the write path.
 * :meth:`CompactionExecutor.install_prepared` — the structural swap
   (remove sources/victims, install output) inside one
-  :meth:`~repro.lsm.tree.LSMTree.install` section, plus manifest edits
-  and the persistence callbacks. Short, in-memory only; the caller holds
-  the engine's commit lock so the subsequent durable commit snapshots
-  exactly this layout.
+  :meth:`~repro.lsm.tree.LSMTree.install` section, plus the persistence
+  callbacks. Short, in-memory only; the caller holds the engine's commit
+  lock so the subsequent durable commit snapshots exactly this layout.
 
 :meth:`execute` chains the two for inline (serial) callers and preserves
 the original single-call semantics exactly.
@@ -36,7 +35,6 @@ from repro.core.config import CompactionTrigger, EngineConfig
 from repro.core.stats import Statistics
 from repro.lsm.builder import build_run
 from repro.lsm.iterator import merge_for_compaction
-from repro.lsm.manifest import Manifest
 from repro.lsm.runfile import RunFile
 from repro.lsm.tree import LSMTree
 from repro.obs import NULL_OBS
@@ -80,14 +78,12 @@ class CompactionExecutor:
         config: EngineConfig,
         disk: SimulatedDisk,
         stats: Statistics,
-        manifest: Manifest,
         on_tombstone_persisted: TombstoneCallback | None = None,
         obs=None,
     ):
         self.config = config
         self.disk = disk
         self.stats = stats
-        self.manifest = manifest
         self.on_tombstone_persisted = on_tombstone_persisted
         self.obs = obs if obs is not None else NULL_OBS
 
@@ -209,13 +205,12 @@ class CompactionExecutor:
         prepared: PreparedCompaction,
         now: float,
     ) -> list[RunFile]:
-        """Phase 2: swap the tree layout and log the manifest edits."""
+        """Phase 2: swap the tree layout."""
         with self.obs.tracer.span(
             "compaction:install",
             level=task.source_level,
             trivial=prepared.trivial,
         ):
-            self.manifest.begin_version()
             if prepared.trivial:
                 return self._trivial_move(tree, task, now)
 
@@ -289,11 +284,6 @@ class CompactionExecutor:
         # §4.1.3: for moved files "amax is recalculated based on the time
         # of the latest compaction" — the level clock restarts.
         source.meta.level_arrival_time = now
-        self.manifest.log_move(
-            source.meta.file_number,
-            task.target_level,
-            reason=f"trivial-move:{task.trigger.value}",
-        )
         self.stats.add(compactions=1)
         self._account_trigger(task, count_compaction=False)
         return [source]
@@ -424,18 +414,6 @@ class CompactionExecutor:
                 target_level.add_run(output_files)
             else:
                 target_level.insert_into_run(output_files)
-
-        for consumed in list(task.source_files) + victims:
-            self.manifest.log_remove(
-                consumed.meta.file_number, reason=f"compacted:{task.trigger.value}"
-            )
-            self.disk.free(consumed.disk_file_id)
-        for produced in output_files:
-            self.manifest.log_add(
-                produced.meta.file_number,
-                task.target_level,
-                reason=f"compaction-output:{task.trigger.value}",
-            )
 
     def _account_trigger(
         self, task: CompactionTask, count_compaction: bool = True

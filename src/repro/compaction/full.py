@@ -20,7 +20,6 @@ from repro.core.config import EngineConfig
 from repro.core.stats import Statistics
 from repro.lsm.builder import build_run
 from repro.lsm.iterator import merge_for_compaction
-from repro.lsm.manifest import Manifest
 from repro.lsm.runfile import RunFile
 from repro.lsm.tree import LSMTree
 from repro.storage.disk import SimulatedDisk
@@ -32,7 +31,6 @@ def full_tree_compaction(
     config: EngineConfig,
     disk: SimulatedDisk,
     stats: Statistics,
-    manifest: Manifest,
     now: float,
     on_tombstone_persisted: Callable[[object], None] | None = None,
     drop_predicate: Callable[[Entry], bool] | None = None,
@@ -47,7 +45,6 @@ def full_tree_compaction(
 
     Returns the files of the new, single-run tree.
     """
-    manifest.begin_version()
     all_files = list(tree.all_files())
     if not all_files:
         stats.full_tree_compactions += 1
@@ -108,18 +105,9 @@ def full_tree_compaction(
     # old tree or the new single run, never a half-wiped middle state.
     with tree.install():
         for level in tree.levels:
-            for run_file in list(level.files()):
-                manifest.log_remove(
-                    run_file.meta.file_number, reason="full-compaction"
-                )
-                disk.free(run_file.disk_file_id)
             level.runs = []
         target = tree.ensure_level(target_level)
         target.merge_into_single_run(output_files)
-    for produced in output_files:
-        manifest.log_add(
-            produced.meta.file_number, target_level, reason="full-compaction-output"
-        )
 
     stats.full_tree_compactions += 1
     stats.compactions += 1

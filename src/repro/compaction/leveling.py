@@ -2,10 +2,7 @@
 
 Trigger: level saturation only. Selection: minimal overlap with the next
 level (§2 "Partial Compaction" — the write-amplification-optimal choice),
-or optionally RocksDB's tombstone-density heuristic (§3.1.3: "RocksDB
-implements a file selection policy based on the number of tombstones.
-This reduces the amount of invalid entries, but it does not offer
-persistent delete latency guarantees.").
+ties broken toward the file with more tombstones.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ from repro.compaction.base import (
     CompactionPolicy,
     CompactionTask,
     pick_min_overlap,
-    pick_most_tombstones,
     saturated_levels,
 )
 
@@ -35,14 +31,7 @@ class LeveledCompactionPolicy(CompactionPolicy):
         for level_number in saturated_levels(tree, trigger):
             level = tree.level(level_number)
             target = tree.ensure_level(level_number + 1)
-            candidate = None
-            if (
-                self.config.rocksdb_tombstone_density_selection
-                and level.tombstone_count() > 0
-            ):
-                candidate = pick_most_tombstones(level)
-            if candidate is None:
-                candidate = pick_min_overlap(level, target)
+            candidate = pick_min_overlap(level, target)
             if candidate is None:
                 continue
             return CompactionTask(

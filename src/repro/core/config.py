@@ -109,10 +109,6 @@ class EngineConfig:
         When true, FADE probes Bloom filters before inserting a tombstone
         and skips tombstones for keys that are definitely absent (§4.1.5
         "Blind Deletes").
-    rocksdb_tombstone_density_selection:
-        When true (and FADE is off) the baseline emulates RocksDB's
-        file-selection heuristic that favours files with many tombstones
-        (§3.1.3), instead of pure min-overlap.
     level1_tiered:
         RocksDB implements Level 1 as tiered to avoid write stalls (§4.3
         "Implementation"); when true, Level 1 accepts multiple overlapping
@@ -203,7 +199,6 @@ class EngineConfig:
     file_pages: int = 64
     real_io_seconds: float = 0.0
     avoid_blind_deletes: bool = True
-    rocksdb_tombstone_density_selection: bool = False
     level1_tiered: bool = False
     level1_run_trigger: int = 4
     force_kiwi_layout: bool = False

@@ -1,8 +1,8 @@
 """The engine facade: Lethe and the state-of-the-art baseline in one class.
 
 :class:`LSMEngine` wires together the memory buffer, the simulated disk,
-the LSM-tree, the WAL, the manifest, and a compaction policy chosen from
-the configuration:
+the LSM-tree, the WAL, and a compaction policy chosen from the
+configuration:
 
 * ``delete_persistence_threshold`` set → **FADE** (Lethe's compaction);
 * ``delete_tile_pages > 1``          → **KiWi** layout (Lethe's storage);
@@ -48,7 +48,6 @@ from repro.kiwi.range_delete import (
     preview_page_drops,
 )
 from repro.lsm.builder import build_run
-from repro.lsm.manifest import Manifest
 from repro.lsm.tree import LSMTree
 from repro.lsm.wal import WriteAheadLog
 from repro.obs import Observability
@@ -147,7 +146,6 @@ class LSMEngine:
         self.seq = SequenceGenerator()
         self.buffer = MemoryBuffer(config.buffer_entries)
         self.tree = LSMTree(config, self.stats)
-        self.manifest = Manifest()
         self._store = store
         self.wal = WriteAheadLog(sink=store)
         self.wal.obs = self.obs
@@ -159,10 +157,10 @@ class LSMEngine:
         # _compaction_mutex — one compaction cycle (select -> merge ->
         #   install) or one maintenance section (SRD, full compaction,
         #   checkpoint) at a time per engine.
-        # _commit_lock — serializes {tree install + manifest edits +
-        #   durable commit} transactions between the flush path and the
-        #   compaction path; held only around those short sections,
-        #   never across a merge, so a flush never waits for one.
+        # _commit_lock — serializes {tree install + durable commit}
+        #   transactions between the flush path and the compaction
+        #   path; held only around those short sections, never across
+        #   a merge, so a flush never waits for one.
         # _persistence_lock — the tombstone persistence index, mutated
         #   by the write path and by worker-side persistence callbacks.
         # Lock order: _compaction_mutex -> _commit_lock -> tree install
@@ -184,7 +182,6 @@ class LSMEngine:
             config=config,
             disk=self.disk,
             stats=self.stats,
-            manifest=self.manifest,
             on_tombstone_persisted=self._on_tombstone_persisted,
             obs=self.obs,
         )
@@ -402,9 +399,7 @@ class LSMEngine:
                 self.tree,
                 d_lo,
                 d_hi,
-                self.disk,
                 self.stats,
-                self.manifest,
                 dropped_out=dropped,
             )
             self._suppress_resurrected_versions(dropped, now)
@@ -426,7 +421,6 @@ class LSMEngine:
             self.config,
             self.disk,
             self.stats,
-            self.manifest,
             now,
             on_tombstone_persisted=self._on_tombstone_persisted,
             drop_predicate=lambda e: (
@@ -587,10 +581,9 @@ class LSMEngine:
         """The buffer→Level-1 half of a flush; no compaction runs.
 
         Returns ``True`` when something was flushed. The tree install,
-        manifest edits, durable commit, WAL watermark, and FADE TTL
-        recomputation form one transaction under the commit lock, so a
-        background worker's install/commit can never interleave with a
-        half-installed flush.
+        durable commit, WAL watermark, and FADE TTL recomputation form
+        one transaction under the commit lock, so a background worker's
+        install/commit can never interleave with a half-installed flush.
         """
         if self.buffer.is_empty:
             return False
@@ -626,7 +619,6 @@ class LSMEngine:
 
             with self._commit_lock:
                 level1 = self.tree.ensure_level(1)
-                self.manifest.begin_version()
                 with self.tree.install():
                     pure_leveling = (
                         not self.config.level1_tiered
@@ -643,10 +635,6 @@ class LSMEngine:
                         # installing as a transient second run keeps the
                         # merge inside the executor.
                         level1.add_run(files)
-                for produced in files:
-                    self.manifest.log_add(
-                        produced.meta.file_number, 1, reason="flush"
-                    )
 
                 # Durable commit precedes the WAL purge: the manifest
                 # record that carries the new watermark (and the flushed
@@ -881,7 +869,6 @@ class LSMEngine:
                     self.config,
                     self.disk,
                     self.stats,
-                    self.manifest,
                     self.clock.now,
                     on_tombstone_persisted=self._on_tombstone_persisted,
                 )

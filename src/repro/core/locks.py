@@ -73,7 +73,6 @@ RANK_WAL_MUTEX = 4500            # storage/persist.py DurableStore._wal_mutex
 RANK_TREE_INSTALL = 5000         # lsm/tree.py LSMTree._install_lock
 RANK_SCHEDULER_CV = 6000         # compaction/scheduler.py BackgroundScheduler._cv
 RANK_FAULT_INJECTOR = 7000       # storage/persist.py FaultInjector._lock
-RANK_DISK_ALLOC = 8000           # storage/disk.py SimulatedDisk._alloc_lock
 RANK_RUNFILE_COUNTER = 8500      # lsm/runfile.py _counter_lock
 RANK_PERSISTENCE_INDEX = 8800    # core/engine.py _persistence_lock
 RANK_STATS = 9000                # core/stats.py Statistics._lock

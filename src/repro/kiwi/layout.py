@@ -32,7 +32,6 @@ class KiWiFile(RunFile):
         meta: FileMeta,
         disk: SimulatedDisk,
         stats: Statistics,
-        disk_file_id: int,
     ):
         if not tiles and not range_tombstones:
             raise ValueError("a KiWiFile must contain tiles or range tombstones")
@@ -43,7 +42,6 @@ class KiWiFile(RunFile):
         self.meta = meta
         self._disk = disk
         self._stats = stats
-        self.disk_file_id = disk_file_id
         self._fences = FencePointers([t.min_key for t in tiles])
         entry_min = tiles[0].min_key if tiles else None
         entry_max = tiles[-1].max_key if tiles else None
@@ -170,17 +168,13 @@ class KiWiFile(RunFile):
     ) -> int:
         """Execute a secondary range delete on this file; returns entries dropped.
 
-        Walks every tile; full page drops shrink the disk extent with no
+        Walks every tile; full page drops release their pages with no
         I/O, partial drops read+rewrite the boundary pages (§4.2.2). File
         metadata is recomputed from the surviving pages. ``dropped_out``
         collects the dropped entries for the engine's version-shadowing
         check (see :meth:`DeleteTile.apply_secondary_delete`).
         """
         dropped_total = 0
-        dropped_bytes = 0
-        dropped_pages = 0
-        before_pages = self.num_pages
-        before_bytes = self.size_bytes
         for tile in self._tiles:
             dropped, _full, _partial = tile.apply_secondary_delete(
                 d_lo, d_hi, self._disk, self._stats, dropped_out=dropped_out
@@ -191,12 +185,6 @@ class KiWiFile(RunFile):
         # (scan would index tiles that no longer exist).
         self._tiles = [t for t in self._tiles if not t.is_empty]
         self._fences = FencePointers([t.min_key for t in self._tiles])
-        after_pages = self.num_pages
-        after_bytes = self.size_bytes
-        dropped_pages = before_pages - after_pages
-        dropped_bytes = max(0, before_bytes - after_bytes)
-        if dropped_pages > 0:
-            self._disk.shrink(self.disk_file_id, dropped_pages, dropped_bytes)
         if dropped_total > 0:
             self._recompute_meta()
         return dropped_total
@@ -264,14 +252,10 @@ def build_kiwi_file(
         min_seqnum=min(seqnums) if seqnums else 0,
         max_seqnum=max(seqnums) if seqnums else 0,
     )
-    size_bytes = sum(e.size for e in entries) + sum(rt.size for rt in range_tombstones)
-    num_pages = sum(t.num_pages for t in tiles)
-    disk_file_id = disk.allocate(num_pages, size_bytes)
     return KiWiFile(
         tiles=tiles,
         range_tombstones=list(range_tombstones),
         meta=meta,
         disk=disk,
         stats=stats,
-        disk_file_id=disk_file_id,
     )

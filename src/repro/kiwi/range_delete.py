@@ -16,9 +16,7 @@ from typing import Any
 from repro.core.errors import KeyWeavingError
 from repro.core.stats import Statistics
 from repro.kiwi.layout import KiWiFile
-from repro.lsm.manifest import Manifest
 from repro.lsm.tree import LSMTree
-from repro.storage.disk import SimulatedDisk
 
 
 @dataclass
@@ -42,9 +40,7 @@ def execute_secondary_range_delete(
     tree: LSMTree,
     d_lo: Any,
     d_hi: Any,
-    disk: SimulatedDisk,
     stats: Statistics,
-    manifest: Manifest,
     dropped_out: list | None = None,
 ) -> SecondaryDeleteReport:
     """Apply ``delete all entries with D in [d_lo, d_hi)`` tile by tile.
@@ -77,17 +73,11 @@ def execute_secondary_range_delete(
             emptied.append(run_file)
 
     if emptied:
-        manifest.begin_version()
         emptied_ids = {id(f) for f in emptied}
         for level in tree.levels:
             level_victims = [f for f in level.files() if id(f) in emptied_ids]
             if level_victims:
                 level.remove_files(level_victims)
-                for victim in level_victims:
-                    manifest.log_remove(
-                        victim.meta.file_number, reason="secondary-range-delete"
-                    )
-                    disk.free(victim.disk_file_id)
         report.files_emptied = len(emptied)
 
     stats.secondary_range_deletes += 1

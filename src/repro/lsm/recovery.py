@@ -22,11 +22,11 @@ Recovery replays the two durable logs in their commit order:
    (the crash hit mid-SRD) is instead rolled forward wholesale after
    replay, idempotently.
 
-Afterwards the engine's sequence generator, clock, key bounds, in-memory
-manifest, and WAL segments are rebuilt, the process-wide file-number
-counter is advanced past every recovered file, and — when FADE is active
-— the ``D_th`` WAL routine runs once so the recovered log re-satisfies
-§4.1.5's invariant at the recovered clock.
+Afterwards the engine's sequence generator, clock, key bounds, and WAL
+segments are rebuilt, the process-wide file-number counter is advanced
+past every recovered file, and — when FADE is active — the ``D_th`` WAL
+routine runs once so the recovered log re-satisfies §4.1.5's invariant
+at the recovered clock.
 
 Statistics start fresh: counters are a property of a process lifetime,
 not of the database (documented in ``docs/durability.md``).
@@ -129,7 +129,6 @@ def recover_engine(
     tracer = engine.obs.tracer
     with tracer.span("recovery:rebuild-tree", files=len(layout)):
         max_file_number = _rebuild_tree(engine, store, layout, info)
-        _rebuild_manifest(engine)
     with tracer.span(
         "recovery:replay-wal", segments=len(state.wal_segments)
     ) as span:
@@ -266,20 +265,15 @@ def _rebuild_run_file(
     meta_fields["level"] = level
     meta_fields["level_arrival_time"] = level_arrival_time
     meta = FileMeta(**meta_fields)
-    size_bytes = sum(rt.size for rt in blob.range_tombstones)
 
     if blob.layout == "sstable":
-        pages = []
-        for chunk in blob.pages:
-            pages.append(Page(config.page_entries, chunk).seal())
-            size_bytes += sum(e.size for e in chunk)
+        pages = [Page(config.page_entries, chunk).seal() for chunk in blob.pages]
         bloom = BloomFilter.from_keys(
             (e.key for chunk in blob.pages for e in chunk),
             config.bits_per_key,
             stats=stats,
         )
         fences = FencePointers([p.min_key for p in pages])
-        disk_file_id = disk.allocate(len(pages), size_bytes)
         return SSTable(
             pages=pages,
             range_tombstones=list(blob.range_tombstones),
@@ -288,12 +282,10 @@ def _rebuild_run_file(
             fences=fences,
             disk=disk,
             stats=stats,
-            disk_file_id=disk_file_id,
         )
 
     if blob.layout == "kiwi":
         tiles = []
-        num_pages = 0
         for min_key, max_key, page_lists in blob.tiles:
             tiles.append(
                 DeleteTile.from_pages(
@@ -305,27 +297,15 @@ def _rebuild_run_file(
                     max_key=max_key,
                 )
             )
-            num_pages += len(page_lists)
-            size_bytes += sum(e.size for chunk in page_lists for e in chunk)
-        disk_file_id = disk.allocate(num_pages, size_bytes)
         return KiWiFile(
             tiles=tiles,
             range_tombstones=list(blob.range_tombstones),
             meta=meta,
             disk=disk,
             stats=stats,
-            disk_file_id=disk_file_id,
         )
 
     raise PersistenceError(f"unknown run layout {blob.layout!r}")
-
-
-def _rebuild_manifest(engine: LSMEngine) -> None:
-    engine.manifest.begin_version()
-    for run_file in engine.tree.all_files():
-        engine.manifest.log_add(
-            run_file.meta.file_number, run_file.meta.level, reason="recovered"
-        )
 
 
 # ---------------------------------------------------------------------------

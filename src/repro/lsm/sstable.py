@@ -37,7 +37,6 @@ class SSTable(RunFile):
         fences: FencePointers,
         disk: SimulatedDisk,
         stats: Statistics,
-        disk_file_id: int,
     ):
         if not pages and not range_tombstones:
             raise ValueError("an SSTable must contain entries or range tombstones")
@@ -50,7 +49,6 @@ class SSTable(RunFile):
         self._fences = fences
         self._disk = disk
         self._stats = stats
-        self.disk_file_id = disk_file_id
         entry_min = pages[0].min_key if pages else None
         entry_max = pages[-1].max_key if pages else None
         rt_min = min((rt.start for rt in range_tombstones), default=None)
@@ -202,8 +200,6 @@ def build_sstable(
         (e.key for e in entries), config.bits_per_key, stats=stats
     )
     fences = FencePointers([p.min_key for p in pages])
-    size_bytes = sum(e.size for e in entries) + sum(rt.size for rt in range_tombstones)
-    disk_file_id = disk.allocate(len(pages), size_bytes)
     return SSTable(
         pages=pages,
         range_tombstones=list(range_tombstones),
@@ -212,5 +208,4 @@ def build_sstable(
         fences=fences,
         disk=disk,
         stats=stats,
-        disk_file_id=disk_file_id,
     )

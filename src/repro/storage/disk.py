@@ -7,37 +7,21 @@ an accounting layer: every page read/write is charged to the shared
 :class:`~repro.core.stats.Statistics`, and simulated elapsed time follows
 the latency model of §4.2.4 (~100 µs per page I/O, 80 ns per hash).
 
-Files are allocation records only (the actual entries live inside
-``SSTable``/``KiWiFile`` objects); the disk tracks which file ids are live
-and how many pages each holds, so space accounting and KiWi's "release the
-page to the file system" full-page drops (§4.2.2) have a concrete target.
+Files themselves are not tracked here: the LSM-tree is the one record
+of which run files are live, and each file knows its own pages. KiWi's
+full page drops (§4.2.2) are released with no I/O and so charge nothing.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
-from repro.core import locks
 from repro.core.errors import StorageError
 from repro.core.stats import Statistics
 
 
-@dataclass
-class FileExtent:
-    """Allocation record for one on-disk file."""
-
-    file_id: int
-    pages: int
-    size_bytes: int
-
-    def __post_init__(self) -> None:
-        if self.pages < 0 or self.size_bytes < 0:
-            raise StorageError("file extent cannot have negative size")
-
-
 class SimulatedDisk:
-    """Tracks live files and charges page I/O to the statistics registry.
+    """Charges page I/O to the statistics registry.
 
     Parameters
     ----------
@@ -69,13 +53,6 @@ class SimulatedDisk:
         self.stats = stats if stats is not None else Statistics()
         self.cache = cache
         self.real_io_seconds = real_io_seconds
-        self._extents: dict[int, FileExtent] = {}
-        self._next_file_id = 0
-        # Flushes (ingest thread) and compactions (background workers)
-        # allocate and free extents concurrently.
-        self._alloc_lock = locks.OrderedLock(
-            "disk.alloc", locks.RANK_DISK_ALLOC
-        )
 
     def _device_wait(self, pages: int) -> None:
         if self.real_io_seconds > 0.0 and pages > 0:
@@ -94,54 +71,6 @@ class SimulatedDisk:
         if pages < 0:
             raise StorageError(f"negative wait ({pages} pages)")
         self._device_wait(pages)
-
-    # ------------------------------------------------------------------
-    # Allocation
-    # ------------------------------------------------------------------
-
-    def allocate(self, pages: int, size_bytes: int) -> int:
-        """Register a new file of ``pages`` pages; returns its file id.
-
-        Allocation itself is free — the write cost is charged separately
-        by :meth:`charge_write` when the pages are materialized, because
-        flushes and compactions account their writes at different points.
-        """
-        if pages < 0:
-            raise StorageError(f"cannot allocate negative pages ({pages})")
-        with self._alloc_lock:
-            file_id = self._next_file_id
-            self._next_file_id += 1
-            self._extents[file_id] = FileExtent(file_id, pages, size_bytes)
-        return file_id
-
-    def free(self, file_id: int) -> None:
-        """Release a file's extent (post-compaction cleanup)."""
-        with self._alloc_lock:
-            if file_id not in self._extents:
-                raise StorageError(f"double free or unknown file id {file_id}")
-            del self._extents[file_id]
-
-    def shrink(self, file_id: int, dropped_pages: int, dropped_bytes: int) -> None:
-        """Release part of a file's extent without I/O — a full page drop.
-
-        This is KiWi's key trick (§4.2.2): pages wholly inside a secondary
-        delete range "are removed from the otherwise immutable file and
-        released to be reclaimed by the underlying file system" — no read,
-        no write.
-        """
-        extent = self._extents.get(file_id)
-        if extent is None:
-            raise StorageError(f"unknown file id {file_id}")
-        if dropped_pages > extent.pages:
-            raise StorageError(
-                f"cannot drop {dropped_pages} pages from a {extent.pages}-page file"
-            )
-        extent.pages -= dropped_pages
-        extent.size_bytes = max(0, extent.size_bytes - dropped_bytes)
-
-    # ------------------------------------------------------------------
-    # I/O charging
-    # ------------------------------------------------------------------
 
     def charge_read(self, pages: int = 1) -> None:
         """Account for reading ``pages`` pages.
@@ -176,35 +105,3 @@ class SimulatedDisk:
         self.stats.pages_read += 1
         self._device_wait(1)
         return False
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def live_files(self) -> int:
-        """Number of files currently allocated."""
-        return len(self._extents)
-
-    @property
-    def live_pages(self) -> int:
-        """Pages across all live files."""
-        return sum(e.pages for e in self._extents.values())
-
-    @property
-    def live_bytes(self) -> int:
-        """Declared bytes across all live files."""
-        return sum(e.size_bytes for e in self._extents.values())
-
-    def extent(self, file_id: int) -> FileExtent:
-        """The allocation record for ``file_id`` (raises if freed)."""
-        extent = self._extents.get(file_id)
-        if extent is None:
-            raise StorageError(f"unknown file id {file_id}")
-        return extent
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SimulatedDisk(files={self.live_files}, pages={self.live_pages}, "
-            f"bytes={self.live_bytes})"
-        )

@@ -1,8 +1,8 @@
 """Durable persistence backend: what survives a crash, and how.
 
-Until this module existed the WAL, the manifest, and the byte-level codec
-were pure accounting — no state ever reached disk. :class:`DurableStore`
-gives one engine a real directory:
+:class:`DurableStore` gives one engine a real directory; the in-memory
+LSM-tree stays the only record of which run files are live, and every
+commit record below is derived from it:
 
 ``CONFIG.json``
     The engine configuration, written once at creation so
@@ -81,6 +81,7 @@ fsync path itself exercised.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -121,10 +122,12 @@ _ENUM_FIELDS = {
 }
 
 # Retired EngineConfig fields (nothing read the first two; the latency
-# pair only ever had its default, now constants of core/stats.py) that a
+# pair only ever had its default, now constants of core/stats.py; the
+# tombstone-density selection switch was never turned on) that a
 # CONFIG.json written before their removal still carries.
 _RETIRED_FIELDS = (
     "bloom_scope", "delete_key_size", "page_io_seconds", "hash_seconds",
+    "rocksdb_tombstone_density_selection",
 )
 
 _META_FIELDS = (
@@ -623,9 +626,23 @@ class DurableStore:
                     self.injector.before_write(f"{tag}[{records}]")
                     if appender.handle is None:
                         appender.handle = open(appender.path, "ab")
-                    appender.handle.write(bytes(appender.pending))
-                    appender.handle.flush()
-                    self._fsync_handle(appender.handle)
+                    start = appender.handle.tell()
+                    try:
+                        appender.handle.write(bytes(appender.pending))
+                        appender.handle.flush()
+                        self._fsync_handle(appender.handle)
+                    except BaseException:
+                        # As in append_frame: torn bytes left behind the
+                        # batch would hide every later record from the
+                        # next restart. Close first (closing flushes what
+                        # the buffer still holds), then cut back; the
+                        # batch stays pending so the retry writes it whole
+                        # through a fresh handle.
+                        handle, appender.handle = appender.handle, None
+                        with contextlib.suppress(OSError):
+                            handle.close()
+                        _truncate(appender.path, start, self._fsync)
+                        raise
                     appender.pending = bytearray()
                     appender.pending_records = 0
                     appender.pending_opened_at = None
@@ -1129,11 +1146,16 @@ def append_frame(
                 os.fsync(handle.fileno())
     except BaseException:
         if start is not None:
-            with open(target, "r+b") as handle:
-                handle.truncate(start)
-                if fsync:
-                    os.fsync(handle.fileno())
+            _truncate(target, start, fsync)
         raise
+
+
+def _truncate(target: Path, size: int, fsync: bool) -> None:
+    """Cut ``target`` back to ``size`` bytes — taking back a failed append."""
+    with open(target, "r+b") as handle:
+        handle.truncate(size)
+        if fsync:
+            os.fsync(handle.fileno())
 
 
 def truncate_torn_tail(

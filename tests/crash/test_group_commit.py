@@ -13,6 +13,7 @@ with multi-record ``wal-append[n]`` labels.
 
 from __future__ import annotations
 
+import errno
 import tempfile
 
 import pytest
@@ -149,3 +150,53 @@ def test_clean_shutdown_loses_nothing(name, config_factory):
         assert engine_surface(reopened) == model_surface(model), (
             f"[{name}] a synced close still lost acknowledged operations"
         )
+
+
+class _TearsNextWrite:
+    """A WAL segment's file handle whose next write lands only the first
+    frame's 8-byte header and one payload byte, then fails as a full disk
+    does."""
+
+    def __init__(self, handle):
+        self._handle = handle
+        self.armed = True
+
+    def write(self, data):
+        if self.armed:
+            self.armed = False
+            self._handle.write(data[:9])
+            self._handle.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._handle.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+def test_failed_batch_write_does_not_hide_later_acknowledged_writes(tmp_path):
+    """A batch torn mid-frame by a failed write is taken back whole: the
+    retry appends it intact, so neither it nor anything acknowledged after
+    it is cut off as a torn tail on reopen."""
+    config = lethe_config(0.5, delete_tile_pages=4,
+                          wal_commit_policy="group(4)", **TINY)
+    engine = LSMEngine.open(tmp_path / "db", config=config)
+    acknowledged = {}
+    for key in range(1, 5):  # the fourth put drains the first batch
+        engine.put(key, f"v{key}")
+        acknowledged[key] = f"v{key}"
+    (appender,) = engine._store._appenders.values()
+    appender.handle = _TearsNextWrite(appender.handle)
+    for key in range(5, 8):
+        engine.put(key, f"v{key}")
+        acknowledged[key] = f"v{key}"
+    with pytest.raises(OSError):
+        engine.put(8, "v8")  # drains the second batch: the torn write
+    for key in range(9, 13):
+        engine.put(key, f"v{key}")
+        acknowledged[key] = f"v{key}"
+    engine.sync()
+    engine.close()
+    reopened = LSMEngine.open(tmp_path / "db")
+    for key, value in acknowledged.items():
+        assert reopened.get(key) == value, f"acknowledged key {key} lost"
+    reopened.close()

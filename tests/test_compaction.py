@@ -6,7 +6,6 @@ from repro.compaction.base import (
     CompactionTask,
     overlap_entries,
     pick_min_overlap,
-    pick_most_tombstones,
     saturated_levels,
 )
 from repro.compaction.executor import CompactionExecutor
@@ -15,7 +14,6 @@ from repro.compaction.leveling import LeveledCompactionPolicy
 from repro.compaction.tiering import TieredCompactionPolicy
 from repro.core.config import CompactionTrigger, MergePolicy, rocksdb_config
 from repro.core.stats import Statistics
-from repro.lsm.manifest import Manifest
 from repro.lsm.sstable import build_sstable
 from repro.lsm.tree import LSMTree
 from repro.storage.disk import SimulatedDisk
@@ -30,14 +28,13 @@ def world():
     disk = SimulatedDisk(stats)
     config = rocksdb_config(**TINY)
     tree = LSMTree(config, stats)
-    manifest = Manifest()
-    executor = CompactionExecutor(config, disk, stats, manifest)
-    return tree, config, disk, stats, manifest, executor
+    executor = CompactionExecutor(config, disk, stats)
+    return tree, config, disk, stats, executor
 
 
 def add_file(world, level, keys, seq_start=0, kind=EntryKind.PUT,
              write_time=0.0, tiered=False):
-    tree, config, disk, stats, manifest, _executor = world
+    tree, config, disk, stats, _executor = world
     table = build_sstable(
         make_entries(keys, seq_start=seq_start, kind=kind, write_time=write_time),
         [], config, disk, stats, now=write_time, level=level,
@@ -47,7 +44,6 @@ def add_file(world, level, keys, seq_start=0, kind=EntryKind.PUT,
         target.add_run([table])
     else:
         target.insert_into_run([table])
-    manifest.log_add(table.meta.file_number, level, "test-setup")
     return table
 
 
@@ -84,13 +80,6 @@ class TestSelectionHelpers:
         chosen = pick_min_overlap(tree.level(1), tree.level(2))
         assert chosen is laden
 
-    def test_pick_most_tombstones(self, world):
-        tree, *_ = world
-        few = add_file(world, 1, [1, 2], kind=EntryKind.TOMBSTONE)
-        many = add_file(world, 1, [10, 11, 12, 13], seq_start=10,
-                        kind=EntryKind.TOMBSTONE)
-        assert pick_most_tombstones(tree.level(1)) is many
-
     def test_overlap_entries(self, world):
         tree, *_ = world
         candidate = add_file(world, 1, range(0, 16))
@@ -100,7 +89,7 @@ class TestSelectionHelpers:
 
 class TestExecutor:
     def test_merge_into_next_level(self, world):
-        tree, config, disk, stats, manifest, executor = world
+        tree, config, disk, stats, executor = world
         upper = add_file(world, 1, range(0, 16), seq_start=100)
         lower = add_file(world, 2, range(0, 16), seq_start=0)
         task = CompactionTask(
@@ -112,13 +101,11 @@ class TestExecutor:
         assert tree.level(2).num_entries == 16  # duplicates consolidated
         assert stats.invalid_entries_purged == 16
         assert stats.compactions == 1
-        # consumed files freed on disk; manifest agrees with the tree
-        live = set(manifest.live_files)
-        in_tree = {f.meta.file_number for f in tree.all_files()}
-        assert live == in_tree
+        # the consumed victim left the tree with the source
+        assert lower not in list(tree.all_files())
 
     def test_trivial_move_costs_no_io(self, world):
-        tree, config, disk, stats, manifest, executor = world
+        tree, config, disk, stats, executor = world
         mover = add_file(world, 1, range(0, 8))
         add_file(world, 2, range(100, 108), seq_start=50)
         add_file(world, 3, range(200, 208), seq_start=80)
@@ -133,7 +120,7 @@ class TestExecutor:
         assert mover.meta.level_arrival_time == 5.0
 
     def test_no_trivial_move_into_last_level_with_tombstones(self, world):
-        tree, config, disk, stats, manifest, executor = world
+        tree, config, disk, stats, executor = world
         mover = add_file(world, 1, [5], kind=EntryKind.TOMBSTONE)
         task = CompactionTask(
             source_level=1, source_files=[mover], target_level=2,
@@ -145,7 +132,7 @@ class TestExecutor:
         assert tree.level(2).tombstone_count() == 0
 
     def test_tombstone_dropped_only_at_last_level(self, world):
-        tree, config, disk, stats, manifest, executor = world
+        tree, config, disk, stats, executor = world
         upper = add_file(world, 1, [5], seq_start=100, kind=EntryKind.TOMBSTONE)
         add_file(world, 2, [5], seq_start=0)
         add_file(world, 3, range(50, 58), seq_start=10)  # deeper data exists
@@ -160,7 +147,7 @@ class TestExecutor:
         assert stats.invalid_entries_purged == 1
 
     def test_self_compaction_persists_tombstones(self, world):
-        tree, config, disk, stats, manifest, executor = world
+        tree, config, disk, stats, executor = world
         lone = add_file(world, 2, [1, 2], kind=EntryKind.TOMBSTONE)
         task = CompactionTask(
             source_level=2, source_files=[lone], target_level=2,
@@ -171,10 +158,10 @@ class TestExecutor:
         assert tree.level(2).is_empty  # nothing left to write
 
     def test_persistence_callback_invoked(self, world):
-        tree, config, disk, stats, manifest, _ = world
+        tree, config, disk, stats, _ = world
         dropped = []
         executor = CompactionExecutor(
-            config, disk, stats, manifest, on_tombstone_persisted=dropped.append
+            config, disk, stats, on_tombstone_persisted=dropped.append
         )
         lone = add_file(world, 1, [7], kind=EntryKind.TOMBSTONE)
         task = CompactionTask(
@@ -213,28 +200,17 @@ class TestLeveledPolicy:
         assert task.source_level == 1
         assert task.target_level == 2
 
-    def test_tombstone_density_variant(self, world):
-        tree, config, *_ = world
-        config = config.with_updates(rocksdb_tombstone_density_selection=True)
-        for start in range(0, 64, 32):
-            add_file(world, 1, range(start, start + 32), seq_start=start)
-        laden = add_file(world, 1, range(100, 132), seq_start=200,
-                         kind=EntryKind.TOMBSTONE)
-        policy = LeveledCompactionPolicy(config)
-        task = policy.select(tree, now=0.0)
-        assert task.source_files == [laden]
-
 
 class TestTieredPolicy:
     def test_merges_at_run_quota(self, world):
-        tree, config, disk, stats, manifest, _ = world
+        tree, config, disk, stats, _ = world
         config = config.with_updates(merge_policy=MergePolicy.TIERING)
         policy = TieredCompactionPolicy(config)
         for i in range(config.size_ratio):
             add_file(world, 1, range(0, 8), seq_start=i * 10, tiered=True)
         task = policy.select(tree, now=0.0)
         assert task is not None and task.whole_level
-        executor = CompactionExecutor(config, disk, stats, manifest)
+        executor = CompactionExecutor(config, disk, stats)
         executor.execute(tree, task, now=0.0)
         # all runs consolidated; either in place (last level) or pushed
         assert tree.level(1).run_count <= 1
@@ -249,34 +225,33 @@ class TestTieredPolicy:
 
 class TestFullTreeCompaction:
     def test_collapses_everything_and_persists(self, world):
-        tree, config, disk, stats, manifest, _ = world
+        tree, config, disk, stats, _ = world
         add_file(world, 1, [5], seq_start=100, kind=EntryKind.TOMBSTONE)
         add_file(world, 2, [5, 6], seq_start=0)
         add_file(world, 3, [7], seq_start=50)
-        full_tree_compaction(tree, config, disk, stats, manifest, now=1.0)
+        full_tree_compaction(tree, config, disk, stats, now=1.0)
         assert stats.full_tree_compactions == 1
         survivors = sorted(e.key for f in tree.all_files() for e in f.entries())
         assert survivors == [6, 7]
         assert tree.tombstones_in_tree() == 0
 
     def test_drop_predicate_filters_live_entries(self, world):
-        tree, config, disk, stats, manifest, _ = world
+        tree, config, disk, stats, _ = world
         dkeys = [10, 20, 30, 40, 50, 60, 70, 80]
         table = build_sstable(
             make_entries(range(8), delete_keys=dkeys),
             [], config, disk, stats, 0.0, 1,
         )
         tree.ensure_level(1).insert_into_run([table])
-        manifest.log_add(table.meta.file_number, 1, "setup")
         full_tree_compaction(
-            tree, config, disk, stats, manifest, now=1.0,
+            tree, config, disk, stats, now=1.0,
             drop_predicate=lambda e: e.delete_key is not None and e.delete_key < 45,
         )
         survivors = sorted(e.key for f in tree.all_files() for e in f.entries())
         assert survivors == [4, 5, 6, 7]
 
     def test_empty_tree_is_noop(self, world):
-        tree, config, disk, stats, manifest, _ = world
-        full_tree_compaction(tree, config, disk, stats, manifest, now=0.0)
+        tree, config, disk, stats, _ = world
+        full_tree_compaction(tree, config, disk, stats, now=0.0)
         assert stats.full_tree_compactions == 1
         assert tree.total_entries == 0

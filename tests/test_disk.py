@@ -12,55 +12,6 @@ def disk():
     return SimulatedDisk(Statistics())
 
 
-class TestAllocation:
-    def test_allocate_and_free(self, disk):
-        fid = disk.allocate(pages=10, size_bytes=1000)
-        assert disk.live_files == 1
-        assert disk.live_pages == 10
-        assert disk.live_bytes == 1000
-        disk.free(fid)
-        assert disk.live_files == 0
-
-    def test_double_free_rejected(self, disk):
-        fid = disk.allocate(1, 10)
-        disk.free(fid)
-        with pytest.raises(StorageError):
-            disk.free(fid)
-
-    def test_negative_allocation_rejected(self, disk):
-        with pytest.raises(StorageError):
-            disk.allocate(-1, 0)
-
-    def test_unique_file_ids(self, disk):
-        ids = {disk.allocate(1, 1) for _ in range(10)}
-        assert len(ids) == 10
-
-
-class TestShrink:
-    """Full page drops release extents without I/O (§4.2.2)."""
-
-    def test_shrink_reduces_extent(self, disk):
-        fid = disk.allocate(10, 1000)
-        disk.shrink(fid, dropped_pages=4, dropped_bytes=400)
-        assert disk.extent(fid).pages == 6
-        assert disk.extent(fid).size_bytes == 600
-        assert disk.stats.pages_read == 0  # no I/O charged
-
-    def test_shrink_beyond_extent_rejected(self, disk):
-        fid = disk.allocate(2, 100)
-        with pytest.raises(StorageError):
-            disk.shrink(fid, 3, 0)
-
-    def test_shrink_unknown_file_rejected(self, disk):
-        with pytest.raises(StorageError):
-            disk.shrink(999, 1, 1)
-
-    def test_bytes_clamped_at_zero(self, disk):
-        fid = disk.allocate(4, 100)
-        disk.shrink(fid, 1, 500)
-        assert disk.extent(fid).size_bytes == 0
-
-
 class TestCharging:
     def test_reads_and_writes_charged(self, disk):
         disk.charge_read(3)

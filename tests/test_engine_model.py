@@ -199,24 +199,3 @@ def test_property_deferred_backlog_converges_within_dth(name, factory, ops):
     assert engine.scan(0, 40) == expected, f"[{name}] drain changed content"
 
 
-@given(ops=OPS)
-@settings(max_examples=10, deadline=None)
-def test_property_manifest_consistent_with_tree(ops):
-    """After any history, the manifest's live set equals the tree's files."""
-    engine = LSMEngine(lethe_config(0.5, delete_tile_pages=4, **TINY))
-    replay(engine, ops)
-    live = set(engine.manifest.live_files)
-    in_tree = {f.meta.file_number for f in engine.tree.all_files()}
-    assert live == in_tree
-    assert engine.manifest.replay() == engine.manifest.live_files
-
-
-@given(ops=OPS)
-@settings(max_examples=10, deadline=None)
-def test_property_disk_accounting_consistent(ops):
-    """Simulated-disk live pages equal the tree's live pages."""
-    engine = LSMEngine(lethe_config(0.5, delete_tile_pages=4, **TINY))
-    replay(engine, ops)
-    tree_pages = sum(f.num_pages for f in engine.tree.all_files())
-    assert engine.disk.live_pages == tree_pages
-    assert engine.disk.live_files == engine.tree.total_files

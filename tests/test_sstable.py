@@ -30,12 +30,11 @@ def build(entries, rts=(), config=None, disk=None, stats=None, now=0.0, level=1)
 class TestBuild:
     def test_pages_and_metadata(self, config):
         entries = make_entries(range(10))
-        table, disk, _ = build(entries, config=config)
+        table, _, _ = build(entries, config=config)
         assert table.num_pages == 3  # 10 entries / B=4
         assert table.meta.num_entries == 10
         assert table.min_key == 0
         assert table.max_key == 9
-        assert disk.live_files == 1
 
     def test_capacity_enforced(self, config):
         entries = make_entries(range(config.file_entries + 1))

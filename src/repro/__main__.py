@@ -6,12 +6,13 @@ Usage::
     python -m repro fig6a                # run one figure's experiment
     python -m repro all                  # run everything (slow)
     python -m repro fig6h --inserts 4000 # scale override
-    python -m repro parallel             # serial vs pooled shard dispatch
-    python -m repro shard --executor pooled   # sharded bench, thread pool
+    python -m repro metrics --json out.json  # obs overhead + series dump
 
 Each experiment prints the same series its paper figure plots; the
 benchmark suite (`pytest benchmarks/ --benchmark-only`) wraps the same
-drivers with timing and assertions.
+drivers with timing and assertions. Performance of the engine's
+post-paper layers (WAL, scheduler, shards, server) is measured by
+`benchmarks/perf/run.py`, not here.
 """
 
 from __future__ import annotations
@@ -31,34 +32,17 @@ _SWEEP_FIGURES = {
 }
 
 _STANDALONE = {
-    "fig6e": lambda scale, executor, quick: ex.fig6e_tombstone_ages(scale),
-    "fig6f": lambda scale, executor, quick: ex.fig6f_write_amortization(scale),
-    "fig6g": lambda scale, executor, quick: ex.fig6g_latency_scaling(scale),
-    "fig6h": lambda scale, executor, quick: ex.fig6h_page_drops(scale),
-    "fig6i": lambda scale, executor, quick: ex.fig6i_lookup_cost(scale),
-    "fig6j": lambda scale, executor, quick: ex.fig6j_optimal_layout(scale),
-    "fig6k": lambda scale, executor, quick: ex.fig6k_cpu_io_tradeoff(scale),
-    "fig6l": lambda scale, executor, quick: ex.fig6l_correlation(scale),
-    "fig1": lambda scale, executor, quick: ex.fig1_summary(scale),
-    "table2": lambda scale, executor, quick: ex.table2_cost_model(),
-    "shard": lambda scale, executor, quick: ex.shard_scaling(
-        scale, executor=executor
-    ),
-    "parallel": lambda scale, executor, quick: ex.parallel_scaling(scale),
-    "recovery": lambda scale, executor, quick: ex.recovery_experiment(scale),
-    "wal": lambda scale, executor, quick: ex.wal_experiment(scale, quick=quick),
-    "compaction": lambda scale, executor, quick: ex.compaction_experiment(
-        scale, quick=quick
-    ),
-    "metrics": lambda scale, executor, quick: ex.metrics_experiment(
-        scale, quick=quick
-    ),
-    "serve": lambda scale, executor, quick: ex.serving_experiment(
-        scale, quick=quick
-    ),
-    "rangedel": lambda scale, executor, quick: ex.rangedel_experiment(
-        scale, quick=quick
-    ),
+    "fig6e": lambda scale, quick: ex.fig6e_tombstone_ages(scale),
+    "fig6f": lambda scale, quick: ex.fig6f_write_amortization(scale),
+    "fig6g": lambda scale, quick: ex.fig6g_latency_scaling(scale),
+    "fig6h": lambda scale, quick: ex.fig6h_page_drops(scale),
+    "fig6i": lambda scale, quick: ex.fig6i_lookup_cost(scale),
+    "fig6j": lambda scale, quick: ex.fig6j_optimal_layout(scale),
+    "fig6k": lambda scale, quick: ex.fig6k_cpu_io_tradeoff(scale),
+    "fig6l": lambda scale, quick: ex.fig6l_correlation(scale),
+    "fig1": lambda scale, quick: ex.fig1_summary(scale),
+    "table2": lambda scale, quick: ex.table2_cost_model(),
+    "metrics": lambda scale, quick: ex.metrics_experiment(scale, quick=quick),
 }
 
 # Reduced scale for `--quick` (CI smoke): enough volume that flushes,
@@ -92,7 +76,6 @@ def _run_one(
     name: str,
     scale: ExperimentScale,
     sweep_cache: dict,
-    executor: str,
     quick: bool = False,
     json_path: str | None = None,
 ) -> None:
@@ -103,7 +86,7 @@ def _run_one(
             sweep_cache["sweep"] = ex.delete_sweep(scale)
         result = _SWEEP_FIGURES[name](sweep_cache["sweep"])
     else:
-        result = _STANDALONE[name](scale, executor, quick)
+        result = _STANDALONE[name](scale, quick)
     elapsed = time.time() - started
     print(result.report)
     print(f"[{name} done in {elapsed:.1f}s]\n")
@@ -111,7 +94,8 @@ def _run_one(
         from repro.bench.reporting import write_experiment_json
 
         write_experiment_json(
-            json_path, result.figure, result.series, elapsed_seconds=elapsed
+            json_path, result.figure, result.series, elapsed_seconds=elapsed,
+            scale=scale,
         )
         print(f"[series written to {json_path}]")
 
@@ -131,22 +115,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "experiment",
-        help="experiment id (fig6a..fig6l, fig1, table2, shard, parallel, "
-        "recovery, wal, compaction, metrics, serve, rangedel), 'all', or "
-        "'list'",
+        help="experiment id (fig6a..fig6l, fig1, table2, metrics), 'all', "
+        "or 'list'",
     )
     parser.add_argument(
         "--inserts",
         type=int,
         default=None,
         help="override the workload size (default: the bench scale, 9000)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("serial", "pooled"),
-        default="serial",
-        help="shard dispatch strategy for sharded experiments (the "
-        "'parallel' experiment always compares both)",
     )
     parser.add_argument(
         "--quick",
@@ -159,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         default=None,
         help="also dump the experiment's series to PATH as JSON "
-        "(e.g. BENCH_wal.json)",
+        "with its provenance (commit, command line, scale, start/end)",
     )
     parser.add_argument(
         "--trace",
@@ -198,20 +174,14 @@ def main(argv: list[str] | None = None) -> int:
 
                 stem, suffix = os.path.splitext(args.json)
                 per_experiment = f"{stem}.{name}{suffix}"
-            _run_one(
-                name, scale, sweep_cache, args.executor, args.quick,
-                per_experiment,
-            )
+            _run_one(name, scale, sweep_cache, args.quick, per_experiment)
         _finish_trace(args.trace)
         return 0
     if args.experiment not in known:
         print(f"unknown experiment {args.experiment!r}; try 'list'",
               file=sys.stderr)
         return 2
-    _run_one(
-        args.experiment, scale, sweep_cache, args.executor, args.quick,
-        args.json,
-    )
+    _run_one(args.experiment, scale, sweep_cache, args.quick, args.json)
     _finish_trace(args.trace)
     return 0
 

@@ -8,7 +8,15 @@ who wins, by what factor, and where the crossovers fall.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Mapping, Sequence
+import os
+import subprocess
+import sys
+import time
+from dataclasses import asdict
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+
+if TYPE_CHECKING:
+    from repro.bench.harness import ExperimentScale
 
 
 def format_table(
@@ -54,6 +62,7 @@ def write_experiment_json(
     series: Mapping[str, Any],
     elapsed_seconds: float | None = None,
     extra: Mapping[str, Any] | None = None,
+    scale: ExperimentScale | None = None,
 ) -> dict:
     """Dump one experiment's series to ``path`` in the shared layout.
 
@@ -62,8 +71,23 @@ def write_experiment_json(
     ``series`` keys, sorted, two-space indent, trailing newline.
     ``extra`` merges additional top-level keys (e.g. an overhead gate's
     threshold) without disturbing that contract. Returns the payload.
+
+    Every dump also carries its provenance, so a number can be traced
+    to the code and the run that produced it: ``git_hash`` of the
+    checkout this module lives in (``"unknown"`` outside one), the
+    ``command`` line, the ``scale`` it ran at, and ``started``/``ended``
+    in UTC (``started`` is ``ended`` minus ``elapsed_seconds``).
     """
-    payload: dict = {"figure": figure, "series": dict(series)}
+    ended = time.time()
+    payload: dict = {
+        "figure": figure,
+        "series": dict(series),
+        "git_hash": _git_hash(),
+        "command": list(sys.argv),
+        "scale": asdict(scale) if scale is not None else None,
+        "started": _utc(ended - (elapsed_seconds or 0.0)),
+        "ended": _utc(ended),
+    }
     if elapsed_seconds is not None:
         payload["elapsed_seconds"] = round(elapsed_seconds, 3)
     if extra:
@@ -72,6 +96,24 @@ def write_experiment_json(
         json.dump(payload, handle, indent=2, sort_keys=True, default=str)
         handle.write("\n")
     return payload
+
+
+def _git_hash() -> str:
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return done.stdout.strip() if done.returncode == 0 else "unknown"
+
+
+def _utc(epoch: float) -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(epoch))
 
 
 def ratio_summary(label: str, lethe_value: float, baseline_value: float) -> str:

@@ -34,9 +34,9 @@ I/O-bound, and I/O waits release the GIL. The simulated disk can inject
 it serves with ``time.sleep`` — exactly the wait a real storage stack
 would park on — so pooled fan-out overlaps the shards' device time the
 way a deployment overlaps requests to independent disks. The in-Python
-bookkeeping (merges, Bloom probes) stays serialized by the GIL; the
-``parallel_scaling`` experiment measures how much of the wall clock that
-leaves on the table.
+bookkeeping (merges, Bloom probes) stays serialized by the GIL, so a
+speed-up measured with those sleeps on is mostly overlapped waiting, not
+a result; ``benchmarks/perf`` measures the sharded path without them.
 """
 
 from __future__ import annotations

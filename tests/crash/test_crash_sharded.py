@@ -18,6 +18,7 @@ Two guarantees under test:
 
 from __future__ import annotations
 
+import shutil
 import tempfile
 
 import pytest
@@ -163,7 +164,9 @@ def test_property_cluster_crash_recovers_per_key(ops, fraction):
 
 
 def test_single_shard_streams_recover_exactly():
-    """Ops confined to one shard recover to exactly before/after."""
+    """Ops confined to one shard recover to exactly before/after, and a
+    pooled ``open`` of the same crash image recovers the same reads as
+    the serial one (member recoveries dispatched on a thread pool)."""
     ops = [("put", key % 15, key * 3 % 120) for key in range(30)]
     ops.insert(10, ("delete", 4))
     ops.insert(20, ("delete_range", 2, 5))
@@ -182,9 +185,15 @@ def test_single_shard_streams_recover_exactly():
                     apply_cluster_op(cluster, model, op, counter)
             except SimulatedCrash:
                 pass
+            shutil.copytree(tmp + "/c", tmp + "/image")
             recovered = ShardedEngine.open(tmp + "/c")
             got = reads(recovered)
             assert got in (view(before), view(model)), f"crash@{crash_at}"
+            pooled = ShardedEngine.open(tmp + "/image", executor="pooled")
+            try:
+                assert reads(pooled) == got, f"pooled open, crash@{crash_at}"
+            finally:
+                pooled.close()
 
 
 @pytest.mark.parametrize("reshard", ["split", "rebalance"])

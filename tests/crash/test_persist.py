@@ -230,6 +230,44 @@ def test_checkpoint_compacts_manifest_and_prunes(tmp_path):
     assert {k: recovered.get(k) for k in range(30)} == {
         k: engine.get(k) for k in range(30)
     }
+    recovered.close()
+    # A tail of exactly K un-flushed operations after the checkpoint is
+    # exactly K WAL records to replay (K stays under the buffer size).
+    tail = 7
+    for i in range(tail):
+        engine.put(1000 + i, f"t{i}", delete_key=i)
+    recovered = recover_engine(tmp_path / "db")
+    assert recovered.last_recovery.wal_records_replayed == tail
+    assert [recovered.get(1000 + i) for i in range(tail)] == [
+        f"t{i}" for i in range(tail)
+    ]
+    recovered.close()
+
+
+def test_delete_range_is_one_durable_append_whatever_its_span(tmp_path):
+    """Under ``every_op`` one ``delete_range`` is one WAL append however
+    many live keys it covers, and the tombstone survives a reopen."""
+    for live in (16, 512):
+        path = tmp_path / f"db-{live}"
+        engine = LSMEngine.open(
+            path,
+            config=lethe_config(
+                1e9, delete_tile_pages=4, wal_commit_policy="every_op", **TINY
+            ),
+        )
+        for key in range(live + 1):
+            engine.put(key, f"v{key}", delete_key=key)
+        engine.flush()
+        injector = FaultInjector(armed=True)
+        engine.store.injector = injector
+        engine.delete_range(0, live)
+        assert injector.labels == ["wal-append-rt[1]"], (live, injector.labels)
+        assert engine.scan(0, live) == [(live, f"v{live}")]
+        engine.close()
+        reopened = LSMEngine.open(path)
+        assert reopened.scan(0, live) == [(live, f"v{live}")]
+        assert reopened.get(0) is None
+        reopened.close()
 
 
 def test_kiwi_page_drops_append_shape_deltas(tmp_path):

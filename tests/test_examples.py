@@ -87,8 +87,10 @@ def test_cli_list_and_table2():
 
 
 def test_cli_rejects_unknown():
-    result = subprocess.run(
-        [sys.executable, "-m", "repro", "fig99"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 2
+    # "shard" is a retired post-paper driver: it must not run any more.
+    for name in ("fig99", "shard"):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", name],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 2, name

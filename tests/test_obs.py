@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.compaction.scheduler import BackgroundScheduler
 from repro.core.config import EngineConfig, lethe_config
 from repro.core.engine import LSMEngine
 from repro.core.errors import ConfigError
@@ -25,6 +26,7 @@ from repro.obs import (
     MetricsSampler,
     Observability,
     SpanTracer,
+    reset_global_tracer,
 )
 from repro.obs.export import (
     parse_exposition,
@@ -32,6 +34,8 @@ from repro.obs.export import (
     registry_json,
 )
 from repro.shard.engine import ShardedEngine
+
+from tests.conftest import TINY
 
 
 class TestHistogramBuckets:
@@ -224,6 +228,45 @@ class TestTracerRing:
         assert x_event["args"] == {"level": 1}
         metadata = [e for e in trace["traceEvents"] if e["ph"] == "M"]
         assert any(e["name"] == "thread_name" for e in metadata)
+
+
+class TestWorkerThreadSpans:
+    def test_background_durable_engine_traces_every_layer(self, tmp_path):
+        """A durable engine under group commit whose compactions run on
+        two background workers records ``flush``, ``compaction`` and
+        ``wal-commit`` spans, and the merges are traced on the worker
+        threads, not on the writer's."""
+        reset_global_tracer()
+        scheduler = BackgroundScheduler(workers=2)
+        engine = LSMEngine.open(
+            tmp_path / "db",
+            config=lethe_config(
+                1.0,
+                observability=True,
+                obs_sample_interval_ms=0.0,
+                wal_commit_policy="group(16)",
+                **TINY,
+            ),
+            scheduler=scheduler,
+        )
+        try:
+            for i in range(1500):
+                engine.put(i % 400, f"v{i}", delete_key=i)
+            engine.flush()
+            scheduler.drain()
+        finally:
+            engine.close()
+            scheduler.close()
+        spans = engine.obs.tracer.events()
+        names = {event["name"] for event in spans}
+        assert {"flush", "compaction", "wal-commit"} <= names, names
+        tids = {event["tid"] for event in spans}
+        assert len(tids) >= 2, f"expected spans from worker threads, tids={tids}"
+        writer = threading.get_ident()
+        assert any(
+            event["tid"] != writer for event in spans
+            if event["name"] == "compaction"
+        ), "every compaction span was recorded on the writer thread"
 
 
 class TestSamplerLifecycle:

@@ -1,7 +1,12 @@
 """Unit tests for the bench reporting helpers."""
 
+import calendar
 import json
+import re
+import sys
+import time
 
+from repro.bench.harness import TEST_SCALE, ExperimentScale
 from repro.bench.reporting import (
     format_series,
     format_table,
@@ -66,6 +71,7 @@ class TestWriteExperimentJson:
             "fig6x",
             {"xs": [1, 2], "ys": [0.5, 0.25]},
             elapsed_seconds=1.23456,
+            scale=TEST_SCALE,
         )
         on_disk = json.loads(path.read_text())
         assert on_disk == payload
@@ -75,6 +81,18 @@ class TestWriteExperimentJson:
         # The shared contract: sorted keys, trailing newline.
         assert path.read_text().endswith("\n")
         assert list(on_disk) == sorted(on_disk)
+        # Provenance: commit, command line, scale, UTC start and end.
+        assert re.fullmatch(r"[0-9a-f]{40}|unknown", on_disk["git_hash"])
+        assert on_disk["command"] == sys.argv
+        assert ExperimentScale(**on_disk["scale"]) == TEST_SCALE
+        started, ended = (
+            calendar.timegm(time.strptime(on_disk[key], "%Y-%m-%dT%H:%M:%SZ"))
+            for key in ("started", "ended")
+        )
+        assert 1 <= ended - started <= 2
+        # lint: allow(deterministic-clock) — the dump stamps real UTC
+        # time; this checks the stamp is now in UTC, not local time.
+        assert abs(ended - time.time()) < 60
 
     def test_extra_keys_and_non_json_values(self, tmp_path):
         path = tmp_path / "out.json"

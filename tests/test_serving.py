@@ -21,6 +21,7 @@ from repro.core.config import EngineConfig
 from repro.core.ops import OPS
 from repro.net import AsyncLetheClient, ClientPool, LetheClient, LetheServer
 from repro.net.protocol import FrameDecoder, decode_response, encode_request, frame
+from repro.obs import reset_global_tracer
 from repro.shard.engine import ShardedEngine
 from repro.shard.partitioner import RangePartitioner
 
@@ -149,6 +150,41 @@ class TestConcurrentClients:
         with LetheServer(cluster) as server:
             asyncio.run(drive())
         assert surface(cluster) == self._reference_surface()
+
+
+class TestManyConcurrentClients(TestConcurrentClients):
+    """The same contract at fan-in scale: over a hundred connections
+    pipelining at one server at once."""
+
+    N_CLIENTS = 128
+    KEYS = 1024
+
+
+class TestServerObservability:
+    def test_every_request_is_timed_and_traced(self):
+        """With observability on, the request-latency histogram counts
+        every request the server parsed, and parsing and dispatch leave
+        spans in the trace ring."""
+        reset_global_tracer()
+        cluster = ShardedEngine(
+            EngineConfig(**TINY, observability=True, obs_sample_interval_ms=0.0),
+            n_shards=3,
+            ingest_queue_depth=4,
+        )
+        try:
+            with LetheServer(cluster) as server:
+                with LetheClient("127.0.0.1", server.port) as client:
+                    client.execute(
+                        [("put", k, b"v%d" % k, None) for k in range(50)]
+                    )
+                    for k in range(10):
+                        assert client.get(k) == b"v%d" % k
+                assert server.requests_received == 60
+                assert server.request_latency.count == server.requests_received
+            names = {event["name"] for event in cluster.obs.tracer.events()}
+            assert {"net:parse", "net:dispatch"} <= names, names
+        finally:
+            cluster.close()
 
 
 class TestBackpressure:

@@ -133,15 +133,10 @@ class EngineConfig:
     wal_commit_policy:
         When durable WAL appends reach disk (group commit): ``every_op``
         (default — one durable write per operation, the strictest and
-        slowest), ``group(n)`` (drain every ``n`` records), ``interval(ms)``
-        (drain when the oldest pending record is ``ms`` simulated
-        milliseconds old), ``interval_wall(ms)`` (a wall-clock thread
-        timer drains the batch ``ms`` real milliseconds after its first
-        record — the deployment variant, which also drains an *idle*
-        engine), or ``unsafe_none`` (only forced drains).
-        Parsed by :class:`~repro.lsm.wal.CommitPolicy`; ignored by
-        engines without a durable store. Flush/compaction/SRD commits and
-        checkpoints always force a drain, whatever the policy.
+        slowest; the same as ``group(1)``) or ``group(n)`` (drain every
+        ``n`` records). Parsed by :class:`~repro.lsm.wal.CommitPolicy`;
+        ignored by engines without a durable store. Flush/compaction/SRD
+        commits and checkpoints always force a drain, whatever the policy.
     fsync:
         When true (default), every durable write is followed by
         ``os.fsync`` on the data file — and a directory fsync after

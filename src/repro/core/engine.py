@@ -914,8 +914,8 @@ class LSMEngine:
     def sync(self) -> None:
         """Force-drain group-committed WAL batches (no-op without a store).
 
-        Under ``group(n)``/``interval(ms)``/``unsafe_none`` commit
-        policies, acknowledged operations may sit in the store's pending
+        Under a ``group(n)`` commit policy with ``n > 1``,
+        acknowledged operations may sit in the store's pending
         batch; ``sync()`` is the explicit durability barrier that puts
         them on disk (the analogue of a client-requested fsync).
         """

@@ -13,9 +13,11 @@ each record may carry the full operation payload (the buffered
 :class:`~repro.storage.entry.Entry` or
 :class:`~repro.storage.entry.RangeTombstone`), and an optional *sink*
 mirrors every segment event — append, purge, D_th rewrite — to disk so a
-restart can replay the un-flushed tail. Either way the module preserves
-the paper's invariant that no tombstone older than ``D_th`` survives in
-any log segment — tested in the suite as part of the
+restart can replay the un-flushed tail. Appends reach disk in batches of
+one :class:`CommitPolicy` group size (``every_op`` is ``group(1)``), and
+every manifest commit drains whatever is pending. Either way the module
+preserves the paper's invariant that no tombstone older than ``D_th``
+survives in any log segment — tested in the suite as part of the
 persistence-guarantee property, including across crash recovery.
 """
 
@@ -28,10 +30,7 @@ from typing import Any
 from repro.core.errors import WALError
 from repro.obs import NULL_OBS
 
-_POLICY_PATTERN = re.compile(
-    r"^(?:(every_op|unsafe_none)|(group)\((\d+)\)"
-    r"|(interval|interval_wall)\((\d+(?:\.\d+)?)\))$"
-)
+_POLICY_PATTERN = re.compile(r"^(?:every_op|group\((\d+)\))$")
 
 
 @dataclass(frozen=True)
@@ -39,45 +38,25 @@ class CommitPolicy:
     """When buffered WAL appends become durable (group commit, §4.1.5).
 
     The durable backend batches WAL records per segment and drains the
-    batch to disk at *commit points*. The policy decides where the
-    ordinary append path places them; flush/compaction/SRD commits and
-    ``checkpoint()`` always force a drain regardless, so the manifest
-    commit protocol never outruns its WAL.
+    batch to disk once ``group_size`` records are pending. Flush,
+    compaction and SRD commits, ``checkpoint()``, ``sync()`` and
+    ``close()`` always force a drain regardless, so the manifest commit
+    protocol never outruns its WAL.
 
     Specs (the :class:`~repro.core.config.EngineConfig.wal_commit_policy`
     string):
 
     ``every_op``
-        Drain after every record — one durable write (and, with
-        ``fsync``, one fsync) per operation. The pre-group-commit
-        behaviour and the default: nothing acknowledged is ever lost.
+        ``group(1)``: drain after every record — one durable write (and,
+        with ``fsync``, one fsync) per operation. The default: nothing
+        acknowledged is ever lost.
     ``group(n)``
         Drain once ``n`` records are pending. A crash may lose up to
         ``n - 1`` acknowledged operations (never a torn suffix — the
         batch is one physical append).
-    ``interval(ms)``
-        Drain when the oldest pending record is ``ms`` *simulated*
-        milliseconds old at the next append. Simulated time (the
-        ingestion-driven clock) keeps crash enumeration deterministic;
-        at the default 1024 ops/s, ``interval(10)`` batches ~10 records.
-    ``interval_wall(ms)``
-        The deployment variant of ``interval``: a *wall-clock* thread
-        timer drains the pending batch ``ms`` real milliseconds after
-        its first record, whether or not another append ever arrives —
-        the bounded-staleness guarantee a real server needs, which the
-        simulated variant (drain checked only on the append path) cannot
-        give an idle engine. Timer-driven and therefore nondeterministic
-        under crash enumeration; the crash suites use the simulated
-        variant.
-    ``unsafe_none``
-        Never drain on the append path; only forced drains (flush /
-        compaction / SRD commits, ``checkpoint()``, ``sync()``) persist
-        the log. Maximum throughput, loses the whole un-drained tail.
     """
 
-    kind: str = "every_op"
     group_size: int = 1
-    interval_ms: float = 0.0
 
     @classmethod
     def parse(cls, spec: str) -> "CommitPolicy":
@@ -85,42 +64,18 @@ class CommitPolicy:
         match = _POLICY_PATTERN.match(spec.strip())
         if match is None:
             raise ValueError(
-                f"bad commit policy {spec!r}; expected every_op, group(n), "
-                "interval(ms), interval_wall(ms), or unsafe_none"
+                f"bad commit policy {spec!r}; expected every_op or group(n)"
             )
-        bare, group, n, interval, ms = match.groups()
-        if bare:
-            return cls(kind=bare)
-        if group:
-            if int(n) < 1:
-                raise ValueError(f"group size must be >= 1, got {n}")
-            return cls(kind="group", group_size=int(n))
-        if float(ms) <= 0:
-            raise ValueError(f"interval must be positive, got {ms}")
-        return cls(kind=interval, interval_ms=float(ms))
+        size = match.group(1)
+        if size is None:
+            return cls()
+        if int(size) < 1:
+            raise ValueError(f"group size must be >= 1, got {size}")
+        return cls(group_size=int(size))
 
-    def should_drain(self, pending_records: int, oldest_age_seconds: float) -> bool:
+    def should_drain(self, pending_records: int) -> bool:
         """Does the append path drain now? (Forced drains ignore this.)"""
-        if self.kind == "every_op":
-            return True
-        if self.kind == "group":
-            return pending_records >= self.group_size
-        if self.kind == "interval":
-            return oldest_age_seconds * 1000.0 >= self.interval_ms
-        # interval_wall drains from its timer thread, unsafe_none never.
-        return False
-
-    @property
-    def timer_driven(self) -> bool:
-        """True when drains come from a wall-clock timer, not appends."""
-        return self.kind == "interval_wall"
-
-    def describe(self) -> str:
-        if self.kind == "group":
-            return f"group({self.group_size})"
-        if self.kind in ("interval", "interval_wall"):
-            return f"{self.kind}({self.interval_ms:g})"
-        return self.kind
+        return pending_records >= self.group_size
 
 
 @dataclass(frozen=True)

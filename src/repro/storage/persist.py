@@ -17,27 +17,19 @@ commit record below is derived from it:
     committed*: records buffer in a per-segment appender (file handle
     kept open) and reach disk as framed batches at the points the
     configured :class:`~repro.lsm.wal.CommitPolicy` dictates — every
-    record (``every_op``, the default), every ``n`` records
-    (``group(n)``), on a simulated-time interval (``interval(ms)``), or
-    only at forced drains (``unsafe_none``). Manifest commits always
-    force a drain first, so the commit point never outruns its WAL.
+    record (``every_op``, the default) or every ``n`` records
+    (``group(n)``). Manifest commits always force a drain first, so the
+    commit point never outruns its WAL.
     Segment files are deleted when the flush watermark passes them and
     rewritten by the FADE ``D_th`` routine (its own ``wal-rewrite``
     crash point) — §4.1.5's persistence guarantee therefore holds on
     disk, not just in memory.
 ``runs/<file_number>.<generation>.run``
     One blob per live run file, written with a temp-file + ``os.replace``
-    dance so a blob is either wholly present or absent. KiWi secondary
-    range deletes mutate files in place (page drops); the store detects
-    the mutation at the next commit and appends a framed *shape delta*
-    (surviving pages by base-entry ordinal, plus refreshed metadata) to
-    the existing blob — the base section stays valid, decoding applies
-    the last intact delta, and a mutation that is not a pure shrink
-    falls back to a full rewrite under a bumped *generation*. Delta
-    chains are bounded: :meth:`DurableStore.checkpoint` rewrites any
-    blob whose chain exceeds :data:`DurableStore.MAX_DELTA_CHAIN`
-    frames clean under a fresh generation, so repeated secondary
-    deletes never accrete an unbounded tail.
+    dance so a blob is either wholly present or absent, and never
+    changed afterwards. KiWi secondary range deletes mutate files in
+    place (page drops); the store detects the changed shape at the next
+    commit and writes the file whole again under ``generation + 1``.
 ``MANIFEST.log``
     The commit log. Every flush/compaction/secondary-delete appends one
     framed record carrying the complete tree layout (levels → runs →
@@ -66,8 +58,8 @@ batch's record count): durable state advances whole batches, so
 recovery always lands on an exact operation prefix. ``tests/crash/``
 enumerates every such boundary for generated operation sequences and
 asserts recovery equals the dict model (before/after the in-flight
-operation under ``every_op``; the acknowledged-prefix oracle under the
-batched policies).
+operation under ``every_op``; the acknowledged-prefix oracle under
+``group(n)``).
 
 fsync
 -----
@@ -85,7 +77,6 @@ import contextlib
 import json
 import os
 import struct
-import threading
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -165,15 +156,12 @@ class FaultInjector:
     at-k harness workflow replay a different boundary than it counted.
     """
 
-    def __init__(self, armed: bool = True, record_labels: bool = True):
+    def __init__(self, armed: bool = True):
         self.writes = 0
         self.armed = armed
         # Labels of the boundaries permitted so far, in order: lets a
         # harness find the index of a specific boundary type (say, the
-        # D_th rewrite) and aim a CrashPoint exactly there. Long-lived
-        # counting injectors (benches) pass ``record_labels=False`` so
-        # the trace does not grow one string per write forever.
-        self.record_labels = record_labels
+        # D_th rewrite) and aim a CrashPoint exactly there.
         self.labels: list[str] = []
         self._lock = locks.OrderedLock(
             "persist.fault-injector", locks.RANK_FAULT_INJECTOR
@@ -184,22 +172,21 @@ class FaultInjector:
         naming the boundary (``wal-append[n]`` with the batch's record
         count — ``wal-append-rt[n]`` when the batch carries a range
         tombstone — ``wal-rewrite``, ``run-blob``, ``run-blob-rt``,
-        ``run-delta``, ``manifest``, ``wal-purge``, ``blob-prune``,
-        ``clock``, ``config``, ``manifest-snapshot``, ``topology``,
+        ``manifest``, ``wal-purge``, ``blob-prune``, ``clock``,
+        ``config``, ``manifest-snapshot``, ``topology``,
         ``torn-truncate``, ``tmp-sweep``)."""
         if not self.armed:
             return
         with self._lock:
             self.writes += 1
-            if self.record_labels:
-                self.labels.append(label)
+            self.labels.append(label)
 
 
 class CrashPoint(FaultInjector):
     """Crash after ``allow_writes`` durable writes have been permitted."""
 
     def __init__(self, allow_writes: int, armed: bool = True):
-        super().__init__(armed=armed, record_labels=True)
+        super().__init__(armed=armed)
         if allow_writes < 0:
             raise PersistenceError(
                 f"allow_writes must be >= 0, got {allow_writes}"
@@ -289,8 +276,7 @@ class _SegmentAppender:
     them in one physical append at a commit point. The file handle stays
     open across batches — the per-put open/close of the original
     one-frame-per-append path was most of the durability hot path's
-    cost. ``pending_opened_at`` is the simulated time of the oldest
-    pending record (drives ``interval(ms)`` policies).
+    cost.
     """
 
     __slots__ = (
@@ -298,7 +284,6 @@ class _SegmentAppender:
         "handle",
         "pending",
         "pending_records",
-        "pending_opened_at",
         "pending_has_rt",
     )
 
@@ -307,7 +292,6 @@ class _SegmentAppender:
         self.handle = None
         self.pending = bytearray()
         self.pending_records = 0
-        self.pending_opened_at: float | None = None
         # A batch carrying at least one range-tombstone record is its own
         # enumerable crash boundary (``wal-append-rt[n]``): the crash
         # suites prove exact recovery at the range-delete append.
@@ -323,20 +307,14 @@ class DurableStore:
     """One engine's durable directory. See the module docstring for the
     on-disk layout and the commit protocol."""
 
-    #: Delta frames tolerated on one run blob before :meth:`checkpoint`
-    #: rewrites it clean — bounds both blob size and recovery decode work
-    #: (deltas otherwise accrete until the file happens to be compacted).
-    MAX_DELTA_CHAIN = 4
-
     def __init__(self, path: str | Path, injector: FaultInjector | None = None):
         self.path = Path(path)
         self.injector = injector or FaultInjector(armed=False)
         self._engine: Any = None
-        # file_number -> (generation, (num_entries, num_pages), deltas):
-        # the last blob written, its shape signature (mutation detection
-        # for KiWi page drops), and the length of its appended
-        # delete-tile delta chain.
-        self._recorded: dict[int, tuple[int, tuple[int, int], int]] = {}
+        # file_number -> (generation, (num_entries, num_pages)): the last
+        # blob written and its shape signature (mutation detection for
+        # KiWi page drops).
+        self._recorded: dict[int, tuple[int, tuple[int, int]]] = {}
         self._pending_srds: list[dict] = []
         self._policy = CommitPolicy()
         self._fsync = True
@@ -347,12 +325,6 @@ class DurableStore:
         self._wal_mutex = locks.OrderedRLock(
             "persist.wal", locks.RANK_WAL_MUTEX
         )
-        # Wall-clock interval policy: one pending timer drains the batch
-        # interval_ms real milliseconds after its first record. The
-        # factory is injectable so tests drive a fake timer by hand.
-        self.timer_factory: Any = threading.Timer
-        self._drain_timer: Any = None
-        self._timer_error: BaseException | None = None
 
     def _configure(self, config: EngineConfig) -> None:
         """Adopt the durability knobs (commit policy, fsync) of ``config``."""
@@ -426,9 +398,6 @@ class DurableStore:
     def close(self) -> None:
         """Drain pending WAL batches and release the open segment handles."""
         with self._wal_mutex:
-            if self._drain_timer is not None:
-                self._drain_timer.cancel()
-                self._drain_timer = None
             self.wal_sync()
             for appender in self._appenders.values():
                 appender.close()
@@ -519,8 +488,8 @@ class DurableStore:
         ``wal-append[n]`` with the batch's record count) — the group
         commit of §4.1.5's WAL lifecycle. ``every_op`` drains here on
         every call, reproducing the original record-per-write boundaries
-        exactly; the other policies trade bounded loss of *acknowledged
-        but undrained* operations for fewer physical writes and fsyncs.
+        exactly; ``group(n)`` trades bounded loss of *acknowledged but
+        undrained* operations for fewer physical writes and fsyncs.
         Durable state always advances whole batches, so recovery lands on
         an exact operation prefix, never a torn suffix. The whole path
         holds the store's WAL mutex: a manifest commit's forced drain
@@ -528,7 +497,6 @@ class DurableStore:
         observe a half-appended batch.
         """
         with self._wal_mutex:
-            self._reraise_timer_error()
             appender = self._appenders.get(segment.segment_id)
             if appender is None:
                 appender = _SegmentAppender(self._segment_path(segment.segment_id))
@@ -545,60 +513,11 @@ class DurableStore:
             appender.pending_records += 1
             if isinstance(record.payload, RangeTombstone):
                 appender.pending_has_rt = True
-            if appender.pending_opened_at is None:
-                appender.pending_opened_at = record.written_at
-            if self._policy.timer_driven:
-                self._arm_drain_timer()
-            elif self._policy.should_drain(
-                self._pending_wal_records(),
-                record.written_at - self._oldest_pending_at(record.written_at),
-            ):
+            if self._policy.should_drain(self._pending_wal_records()):
                 self.wal_sync()
-
-    def _arm_drain_timer(self) -> None:
-        """Schedule the wall-clock drain for an ``interval_wall`` batch.
-
-        One timer at a time, armed when the batch's first record lands;
-        caller holds the WAL mutex. The timer thread's drain serializes
-        through the same mutex, and any error it hits (an injected crash,
-        a full disk) is re-raised to the writer on its next append or
-        sync — a background fsync failure must not be silently swallowed.
-        """
-        if self._drain_timer is not None:
-            return
-        timer = self.timer_factory(
-            self._policy.interval_ms / 1000.0, self._timer_drain
-        )
-        if hasattr(timer, "daemon"):
-            timer.daemon = True
-        self._drain_timer = timer
-        timer.start()
-
-    def _timer_drain(self) -> None:
-        with self._wal_mutex:
-            self._drain_timer = None
-            try:
-                self.wal_sync()
-            except BaseException as exc:  # noqa: BLE001 - surfaced to writer
-                self._timer_error = exc
-
-    def _reraise_timer_error(self) -> None:
-        if self._timer_error is not None:
-            error, self._timer_error = self._timer_error, None
-            raise error
 
     def _pending_wal_records(self) -> int:
         return sum(a.pending_records for a in self._appenders.values())
-
-    def _oldest_pending_at(self, default: float) -> float:
-        return min(
-            (
-                a.pending_opened_at
-                for a in self._appenders.values()
-                if a.pending_opened_at is not None
-            ),
-            default=default,
-        )
 
     def wal_sync(self) -> None:
         """Force-drain every pending WAL batch (a group-commit point).
@@ -612,7 +531,6 @@ class DurableStore:
         """
         obs = self._obs
         with self._wal_mutex:
-            self._reraise_timer_error()
             for segment_id in sorted(self._appenders):
                 appender = self._appenders[segment_id]
                 if not appender.pending_records and not appender.pending:
@@ -645,7 +563,6 @@ class DurableStore:
                         raise
                     appender.pending = bytearray()
                     appender.pending_records = 0
-                    appender.pending_opened_at = None
                     appender.pending_has_rt = False
                 if obs.enabled:
                     obs.wal_commit_latency.record(time.perf_counter() - started)
@@ -749,28 +666,20 @@ class DurableStore:
         ]
 
         def materialize(run_file: Any) -> int:
-            """Blob generation for this file, writing a new blob if the
-            file is unrecorded, or appending a shape delta if it was
-            mutated in place (KiWi delete-tile page drops)."""
+            """Blob generation for this file, writing the blob whole if
+            the file is unrecorded (generation 0) or was mutated in place
+            by KiWi delete-tile page drops (the next generation)."""
             number = run_file.meta.file_number
             signature = (run_file.meta.num_entries, run_file.num_pages)
             recorded = self._recorded.get(number)
-            deltas = 0
             if recorded is None:
                 generation = 0
-                self._write_run(run_file, generation)
             elif recorded[1] != signature:
-                generation = recorded[0]
-                if self._append_run_delta(run_file, generation):
-                    deltas = recorded[2] + 1
-                else:
-                    # Not a pure shrink (defensive): fall back to a full
-                    # rewrite under a bumped generation.
-                    generation += 1
-                    self._write_run(run_file, generation)
+                generation = recorded[0] + 1
             else:
-                generation, deltas = recorded[0], recorded[2]
-            self._recorded[number] = (generation, signature, deltas)
+                return recorded[0]
+            self._write_run(run_file, generation)
+            self._recorded[number] = (generation, signature)
             return generation
 
         layout, referenced = self._layout_snapshot(engine, materialize)
@@ -794,12 +703,7 @@ class DurableStore:
 
         The engine flushes first (see :meth:`LSMEngine.checkpoint`), so
         the WAL tail is empty up to the watermark and recovery from a
-        fresh checkpoint replays nothing. Run blobs whose appended
-        delete-tile delta chain has grown past :data:`MAX_DELTA_CHAIN`
-        are rewritten clean under a bumped generation here — the blob
-        analogue of the manifest compaction, so repeated secondary range
-        deletes cannot accrete an unbounded delta tail onto a long-lived
-        file.
+        fresh checkpoint replays nothing.
         """
         engine = self._require_engine()
         self.wal_sync()
@@ -812,12 +716,7 @@ class DurableStore:
                 raise PersistenceError(
                     f"checkpoint found uncommitted file {number}"
                 )
-            generation, signature, deltas = recorded
-            if deltas > self.MAX_DELTA_CHAIN:
-                generation += 1
-                self._write_run(run_file, generation)
-                self._recorded[number] = (generation, signature, 0)
-            return generation
+            return recorded[0]
 
         layout, referenced = self._layout_snapshot(engine, recorded_generation)
         self._pending_srds = [
@@ -925,78 +824,12 @@ class DurableStore:
             label=label,
         )
 
-    def _append_run_delta(self, run_file: Any, generation: int) -> bool:
-        """Persist a delete-tile-only mutation as an appended shape delta.
-
-        KiWi secondary range deletes only ever *remove* entries from a
-        file (full and partial page drops); the surviving content is a
-        subset of what the blob already stores. Instead of rewriting the
-        whole blob under a bumped generation, one framed delta record is
-        appended naming the surviving pages by their ordinals in the
-        blob's base entry section (entries are identified by seqnum,
-        which is unique per engine) plus the updated file metadata.
-        Decoding applies the *last* intact delta; a torn delta falls back
-        to the previous shape, which the SRD's durable intent record
-        rolls forward at recovery. Returns ``False`` when the mutation is
-        not expressible as a subset (the caller then falls back to a full
-        generation rewrite).
-        """
-        from repro.kiwi.layout import KiWiFile  # layout imports storage
-
-        if not isinstance(run_file, KiWiFile):
-            return False
-        target = self._run_path(run_file.meta.file_number, generation)
-        if not target.exists():
-            return False
-        blob = target.read_bytes()
-        if not blob.startswith(_RUN_MAGIC):
-            return False
-        frames = list(read_frames(blob, len(_RUN_MAGIC)))
-        if len(frames) < 3:
-            return False
-        entries_blob = frames[1]
-        ordinal_by_seqnum: dict[int, int] = {}
-        cursor = 0
-        while cursor < len(entries_blob):
-            entry, cursor = decode_durable_entry(entries_blob, cursor)
-            ordinal_by_seqnum[entry.seqnum] = len(ordinal_by_seqnum)
-        tiles = []
-        for tile in run_file.tiles:
-            pages = []
-            for page in tile.pages:
-                ordinals = []
-                for entry in page:
-                    ordinal = ordinal_by_seqnum.get(entry.seqnum)
-                    if ordinal is None:
-                        return False
-                    ordinals.append(ordinal)
-                pages.append(ordinals)
-            tiles.append(
-                {"min": tile.min_key, "max": tile.max_key, "pages": pages}
-            )
-        payload = json.dumps(
-            {
-                "delta": 1,
-                "meta": _meta_to_dict(run_file.meta),
-                "tiles": tiles,
-            },
-            sort_keys=True,
-        ).encode("utf-8")
-        append_frame(target, payload, "run-delta", self.injector, self._fsync)
-        return True
-
     def read_run(self, file_number: int, generation: int) -> RecoveredRun:
-        """Decode one run blob, deltas applied (recovery path)."""
+        """Decode one run blob (recovery path)."""
         target = self._run_path(file_number, generation)
         if not target.exists():
             raise PersistenceError(f"missing run blob {target.name}")
-        blob = target.read_bytes()
-        if not blob.startswith(_RUN_MAGIC):
-            raise PersistenceError("run blob has a bad magic header")
-        # Delta appends resume at end-of-file, so a torn trailing delta
-        # (real mid-write crash) must be truncated away like any log tail.
-        truncate_torn_tail(target, blob, len(_RUN_MAGIC), self.injector, self._fsync)
-        return _decode_run(blob)
+        return _decode_run(target.read_bytes())
 
     # ------------------------------------------------------------------
     # Load
@@ -1072,21 +905,7 @@ class DurableStore:
                     self._recorded[number] = (
                         generation,
                         (run_file.meta.num_entries, run_file.num_pages),
-                        self._delta_chain_length(number, generation),
                     )
-
-    def _delta_chain_length(self, file_number: int, generation: int) -> int:
-        """Appended delta frames on a recovered blob (base is 3 frames).
-
-        Counted from the file so a recovered store keeps honouring the
-        :data:`MAX_DELTA_CHAIN` bound — a chain built before the crash
-        must still collapse at the next checkpoint.
-        """
-        target = self._run_path(file_number, generation)
-        if not target.exists():  # pragma: no cover - defensive
-            return 0
-        blob = target.read_bytes()
-        return max(0, sum(1 for _ in read_frames(blob, len(_RUN_MAGIC))) - 3)
 
 
 # ---------------------------------------------------------------------------
@@ -1325,11 +1144,16 @@ def _decode_run(blob: bytes) -> RecoveredRun:
         raise PersistenceError(
             f"run blob truncated: {len(frames)}/3 sections readable"
         )
+    if len(frames) > 3:
+        # Shape-delta frames appended by an older store: decoding the
+        # base sections alone would resurrect entries that a secondary
+        # range delete dropped.
+        raise PersistenceError(
+            f"run blob has {len(frames)} sections, expected 3; appended "
+            "shape deltas are an unsupported older format"
+        )
     header = json.loads(frames[0].decode("utf-8"))
     entries_blob, rts_blob = frames[1], frames[2]
-    # Frames past the base three are appended shape deltas (delete-tile
-    # mutations); the last intact one describes the current shape.
-    delta = json.loads(frames[-1].decode("utf-8")) if len(frames) > 3 else None
 
     def take_entries(count: int, cursor: int) -> tuple[list[Entry], int]:
         out = []
@@ -1338,48 +1162,23 @@ def _decode_run(blob: bytes) -> RecoveredRun:
             out.append(entry)
         return out, cursor
 
-    meta = dict(delta["meta"]) if delta is not None else dict(header["meta"])
-    recovered = RecoveredRun(meta=meta, layout=header["layout"])
-    if delta is not None:
-        if header["layout"] != "kiwi":
-            raise PersistenceError(
-                f"shape delta on a {header['layout']!r} blob"
-            )
-        flat: list[Entry] = []
-        cursor = 0
-        while cursor < len(entries_blob):
-            entry, cursor = decode_durable_entry(entries_blob, cursor)
-            flat.append(entry)
-        for tile in delta["tiles"]:
-            pages = []
-            for ordinals in tile["pages"]:
-                try:
-                    pages.append([flat[ordinal] for ordinal in ordinals])
-                except IndexError as exc:
-                    raise PersistenceError(
-                        "run blob delta references an entry past the base "
-                        "section"
-                    ) from exc
-            recovered.tiles.append((tile["min"], tile["max"], pages))
-    elif header["layout"] == "kiwi":
-        cursor = 0
+    recovered = RecoveredRun(meta=dict(header["meta"]), layout=header["layout"])
+    cursor = 0
+    if header["layout"] == "kiwi":
         for tile in header["tiles"]:
             pages = []
             for count in tile["pages"]:
                 page_entries, cursor = take_entries(count, cursor)
                 pages.append(page_entries)
             recovered.tiles.append((tile["min"], tile["max"], pages))
-        if cursor != len(entries_blob):
-            raise PersistenceError("run blob entry section has trailing bytes")
     elif header["layout"] == "sstable":
-        cursor = 0
         for count in header["pages"]:
             page_entries, cursor = take_entries(count, cursor)
             recovered.pages.append(page_entries)
-        if cursor != len(entries_blob):
-            raise PersistenceError("run blob entry section has trailing bytes")
     else:
         raise PersistenceError(f"unknown run layout {header['layout']!r}")
+    if cursor != len(entries_blob):
+        raise PersistenceError("run blob entry section has trailing bytes")
 
     cursor = 0
     while cursor < len(rts_blob):

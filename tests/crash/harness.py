@@ -167,7 +167,7 @@ def trace_crash_points(
     """Replay ``ops`` with a counting injector; return it, labels included.
 
     The label trace lets a test aim a :class:`CrashPoint` at a specific
-    boundary *type* — the index of a ``wal-rewrite`` or ``run-delta``
+    boundary *type* — the index of a ``wal-rewrite`` or ``run-blob``
     label in ``injector.labels`` is exactly the ``crash_at`` that kills
     that write, because replays of the same sequence are deterministic.
     ``scheduler_factory`` (optional) supplies a compaction scheduler per
@@ -324,9 +324,9 @@ def continue_after_recovery(run: CrashRun) -> tuple[LSMEngine, dict]:
 #
 # Under every_op, every acknowledged operation is durable before the next
 # begins, so recovery must land on the dict model before or after the
-# in-flight op. Under group(n)/interval/unsafe_none, acknowledged-but-
-# undrained operations are *designed* to be lost on a crash — but durable
-# state still only advances whole batches, so recovery must land on the
+# in-flight op. Under group(n) with n > 1, acknowledged-but-undrained
+# operations are *designed* to be lost on a crash — but durable state
+# still only advances whole batches, so recovery must land on the
 # model after some exact PREFIX of the acknowledged sequence, never on a
 # mixture. These helpers enumerate that oracle.
 

@@ -5,10 +5,11 @@ The group-commit layer changes what a crash may cost — up to a batch of
 state advances whole batches, so every crash must recover to the model
 after an exact prefix of the acknowledged sequence (never a mixture or a
 torn suffix), and re-applying the lost tail must converge on the full
-model. This suite enumerates every write boundary under ``group(n)``,
-``interval(ms)``, and ``unsafe_none`` against that acknowledged-prefix
-oracle, and pins the batching itself: fewer boundaries than ``every_op``,
-with multi-record ``wal-append[n]`` labels.
+model. This suite enumerates every write boundary under ``group(4)`` and
+under a group size the sequence never reaches (so forced drains alone
+persist the log) against that acknowledged-prefix oracle, and pins the
+batching itself: fewer boundaries than ``every_op``, with multi-record
+``wal-append[n]`` labels.
 """
 
 from __future__ import annotations
@@ -41,14 +42,10 @@ BATCHED_FLAVOURS = [
                              wal_commit_policy="group(4)", **TINY),
     ),
     (
-        "interval5ms",
-        lambda: lethe_config(0.5, delete_tile_pages=4,
-                             wal_commit_policy="interval(5)", **TINY),
-    ),
-    (
+        # A batch no sequence fills: only forced drains persist the log.
         "unsafe",
         lambda: lethe_config(0.5, delete_tile_pages=4,
-                             wal_commit_policy="unsafe_none", **TINY),
+                             wal_commit_policy="group(1000000)", **TINY),
     ),
 ]
 

@@ -15,9 +15,10 @@ import pytest
 
 from repro.core.config import lethe_config, rocksdb_config
 from repro.core.engine import LSMEngine
-from repro.core.errors import PersistenceError
+from repro.core.errors import ConfigError, PersistenceError
 from repro.kiwi.layout import KiWiFile
 from repro.lsm.recovery import recover_engine
+from repro.lsm.wal import CommitPolicy
 from repro.storage.entry import Entry, EntryKind, RangeTombstone
 from repro.storage import persist
 from repro.storage.persist import (
@@ -270,46 +271,88 @@ def test_delete_range_is_one_durable_append_whatever_its_span(tmp_path):
         reopened.close()
 
 
-def test_kiwi_page_drops_append_shape_deltas(tmp_path):
-    """A delete-tile mutation appends a delta, not a full blob rewrite.
+def test_kiwi_page_drops_rewrite_the_blob_under_the_next_generation(tmp_path):
+    """A delete-tile mutation writes the file whole under ``generation + 1``.
 
-    The mutated file keeps its generation-0 blob; the SRD's commit
-    appends one framed shape delta (surviving pages by base ordinal)
-    whose bytes are a fraction of the base, and recovery decodes the
-    post-drop shape from base + delta.
+    Blobs never change once written: each secondary range delete that
+    drops entries from a file bumps that file's generation (one
+    ``run-blob`` write per mutated file), the commit prunes the previous
+    blob, and a reopen reads back the post-drop surface.
     """
+    engine = LSMEngine.open(
+        tmp_path / "db", config=lethe_config(1e9, delete_tile_pages=4, **TINY)
+    )
+    for i in range(600):
+        engine.put(i, f"v{i}", delete_key=i)
+    engine.flush()
+    store = engine.store
+    for step in range(3):
+        before = {number: gen for number, (gen, _sig) in store._recorded.items()}
+        injector = FaultInjector(armed=True)
+        store.injector = injector
+        engine.secondary_range_delete(step * 4, step * 4 + 2)
+        bumped = {
+            number
+            for number, (gen, _sig) in store._recorded.items()
+            if number in before and gen != before[number]
+        }
+        assert bumped, f"SRD {step} mutated no recorded file"
+        assert injector.labels.count("run-blob") == len(bumped)
+        for number in bumped:
+            old = before[number]
+            assert store._recorded[number][0] == old + 1, "generation must bump"
+            assert store._run_path(number, old + 1).exists()
+            assert not store._run_path(number, old).exists(), (
+                "the previous generation's blob must be pruned"
+            )
+
+    surface = tuple(engine.scan(0, 601))
+    assert engine.get(0) is None and engine.get(8) is None
+    engine.close()
+    recovered = LSMEngine.open(tmp_path / "db")
+    assert tuple(recovered.scan(0, 601)) == surface
+    recovered.close()
+
+
+def test_a_blob_with_appended_shape_deltas_is_refused(tmp_path):
+    """A run blob carrying more than its three sections — the appended
+    shape deltas older stores wrote after a page drop — fails the open
+    loudly: decoding its base alone would resurrect dropped entries."""
     engine = LSMEngine.open(
         tmp_path / "db", config=lethe_config(1e9, delete_tile_pages=4, **TINY)
     )
     for i in range(96):
         engine.put(i, f"v{i}", delete_key=i)
     engine.flush()
-    runs_dir = tmp_path / "db" / "runs"
-    before = {p.name: p.stat().st_size for p in runs_dir.glob("*.run")}
-    engine.secondary_range_delete(10, 60)
-    after = {p.name: p.stat().st_size for p in runs_dir.glob("*.run")}
-    assert set(after) == set(before), (
-        "a delete-tile-only mutation must not create or drop blob files"
-    )
-    assert all(name.endswith(".0000.run") for name in after), (
-        "mutations must stay on generation 0 (no full rewrite)"
-    )
-    grown = {name for name in after if after[name] > before[name]}
-    assert grown, "at least one mutated blob should have an appended delta"
-    for name in grown:
-        assert after[name] - before[name] < before[name] / 2, (
-            f"{name}: delta bytes should be far smaller than a rewrite"
-        )
-    # The injector vocabulary reflects the path taken: deltas, no rewrites.
-    injector = FaultInjector(armed=True)
-    engine.store.injector = injector
-    engine.secondary_range_delete(60, 80)
-    assert "run-delta" in injector.labels
-    assert "run-blob" not in injector.labels
+    engine.close()
+    blob_path = sorted((tmp_path / "db" / "runs").glob("*.run"))[0]
+    blob = blob_path.read_bytes()
+    header = json.loads(next(read_frames(blob, len(persist._RUN_MAGIC))))
+    # A well-formed delta of the old format: every page kept, by ordinal.
+    ordinal = 0
+    tiles = []
+    for tile in header["tiles"]:
+        pages = []
+        for count in tile["pages"]:
+            pages.append(list(range(ordinal, ordinal + count)))
+            ordinal += count
+        tiles.append({"min": tile["min"], "max": tile["max"], "pages": pages})
+    delta = {"delta": 1, "meta": header["meta"], "tiles": tiles}
+    blob_path.write_bytes(blob + frame_bytes(json.dumps(delta).encode("utf-8")))
+    with pytest.raises(PersistenceError, match="4 sections"):
+        LSMEngine.open(tmp_path / "db")
 
-    recovered = recover_engine(tmp_path / "db")
-    for key in range(96):
-        assert recovered.get(key) == engine.get(key)
+
+def test_a_config_naming_a_retired_commit_policy_is_refused(tmp_path):
+    engine = LSMEngine.open(tmp_path / "db", config=rocksdb_config(**TINY))
+    engine.put(1, "v", delete_key=1)
+    engine.close()
+    config_path = tmp_path / "db" / "CONFIG.json"
+    payload = json.loads(config_path.read_text(encoding="utf-8"))
+    payload["wal_commit_policy"] = "interval(5)"
+    config_path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"interval\(5\)"):
+        LSMEngine.open(tmp_path / "db")
 
 
 # ---------------------------------------------------------------------------
@@ -480,14 +523,12 @@ def test_fsync_path_round_trips(tmp_path):
 
 
 def test_commit_policy_specs_validate():
-    from repro.core.errors import ConfigError
-    from repro.lsm.wal import CommitPolicy
-
-    assert CommitPolicy.parse("every_op").kind == "every_op"
+    assert CommitPolicy.parse("every_op") == CommitPolicy.parse("group(1)")
     assert CommitPolicy.parse("group(8)").group_size == 8
-    assert CommitPolicy.parse("interval(2.5)").interval_ms == 2.5
-    assert CommitPolicy.parse("unsafe_none").describe() == "unsafe_none"
-    for bad in ("group(0)", "interval(0)", "group", "sometimes", "group(-1)"):
+    for bad in (
+        "group(0)", "group", "sometimes", "group(-1)",
+        "interval(5)", "interval_wall(5)", "unsafe_none",
+    ):
         with pytest.raises(ValueError):
             CommitPolicy.parse(bad)
     with pytest.raises(ConfigError):
@@ -498,17 +539,10 @@ def test_commit_policy_specs_validate():
 
 
 def test_commit_policy_drain_decisions():
-    from repro.lsm.wal import CommitPolicy
-
-    assert CommitPolicy.parse("every_op").should_drain(1, 0.0)
+    assert CommitPolicy.parse("every_op").should_drain(1)
     group = CommitPolicy.parse("group(3)")
-    assert not group.should_drain(2, 10.0)
-    assert group.should_drain(3, 0.0)
-    interval = CommitPolicy.parse("interval(10)")
-    assert not interval.should_drain(100, 0.005)
-    assert interval.should_drain(1, 0.010)
-    unsafe = CommitPolicy.parse("unsafe_none")
-    assert not unsafe.should_drain(10**6, 10**6)
+    assert not group.should_drain(2)
+    assert group.should_drain(3)
 
 
 def test_crash_point_injector_contract(tmp_path):

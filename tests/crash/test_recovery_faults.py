@@ -2,7 +2,7 @@
 
 Recovery is not read-only: it truncates torn log tails, sweeps ``*.tmp``
 orphans, rolls in-flight secondary range deletes forward (manifest and
-blob-delta writes), and re-runs the ``D_th`` WAL routine at the
+run-blob writes), and re-runs the ``D_th`` WAL routine at the
 recovered clock. Every one of those writes crosses the same
 :class:`~repro.storage.persist.FaultInjector` boundaries as live
 traffic — so a crash loop (die during recovery, recover again) must
@@ -33,7 +33,7 @@ from tests.crash.harness import (
 
 # Wider domains than the shared harness surface: this suite spreads puts
 # over distinct keys so the buffer genuinely fills, flushes build files,
-# and the SRD mutates them (blob deltas) — the writes recovery replays.
+# and the SRD mutates them (blob rewrites) — the writes recovery replays.
 KEY_DOMAIN = 120
 DKEY_DOMAIN = 130
 
@@ -57,7 +57,7 @@ def model_surface(model: dict) -> tuple:
 
 # Tiny D_th + a buffer the sequence never fills on its own: the WAL tail
 # spans more simulated time than D_th, so recovery must run the §4.1.5
-# rewrite itself; KiWi tiles make the SRD roll-forward write blob deltas.
+# rewrite itself; KiWi tiles make the SRD roll-forward rewrite blobs.
 RECOVERY_FAULT_CONFIG = dict(
     buffer_pages=16,     # 64-entry buffer
     page_entries=4,
@@ -84,6 +84,18 @@ def _ops() -> list[tuple]:
     ops.append(("srd", 10, 40))              # the op the crash interrupts
     ops.extend(("put", 100 + i, i * 7 % 120) for i in range(12))
     return ops
+
+
+def _mid_srd_crash_point(ops: list[tuple]) -> int:
+    """The first ``run-blob`` write after the SRD's intent ``manifest``:
+    a crash there leaves the intent durable and the SRD's work torn."""
+    srd_at = next(i for i, op in enumerate(ops) if op[0] == "srd")
+    before_srd = trace_crash_points(ops[:srd_at], _config).writes
+    labels = trace_crash_points(ops, _config).labels
+    intent = labels.index("manifest", before_srd)
+    done = labels.index("manifest", intent + 1)
+    assert "run-blob" in labels[intent + 1:done], "the SRD rewrote no blob"
+    return labels.index("run-blob", intent + 1)
 
 
 def _build_crashed_store(
@@ -147,9 +159,7 @@ def _no_tmp_orphans(path: str) -> bool:
 
 def test_crashes_during_recovery_own_writes_still_converge(tmp_path):
     ops = _ops()
-    labels = trace_crash_points(ops, _config).labels
-    assert "run-delta" in labels, "the SRD never wrote a blob delta"
-    crash_at = labels.index("run-delta")  # mid-SRD: intent durable, work torn
+    crash_at = _mid_srd_crash_point(ops)
 
     crashed = tmp_path / "crashed"
     crashed.mkdir()
@@ -196,8 +206,7 @@ def test_crashes_during_recovery_own_writes_still_converge(tmp_path):
 def test_recovery_crash_loop_is_idempotent(tmp_path):
     """Two interrupted recoveries in a row still converge on the third."""
     ops = _ops()
-    labels = trace_crash_points(ops, _config).labels
-    crash_at = labels.index("run-delta")
+    crash_at = _mid_srd_crash_point(ops)
     crashed = tmp_path / "crashed"
     crashed.mkdir()
     model_before, model_after = _build_crashed_store(
@@ -254,27 +263,6 @@ def test_tmp_orphans_are_swept_before_load(tmp_path):
     quiet = FaultInjector(armed=True)
     LSMEngine.open(path, injector=quiet)
     assert "tmp-sweep" not in quiet.labels
-
-
-def test_torn_blob_delta_tail_is_truncated(tmp_path):
-    """Garbage after the last intact delta frame is cut, not fatal."""
-    path = tmp_path / "db"
-    engine = LSMEngine.open(path, config=_config())
-    for i in range(80):
-        engine.put(i, f"v{i}", delete_key=i)
-    engine.flush()
-    engine.secondary_range_delete(10, 40)   # appends blob deltas
-    surface = {key: engine.get(key) for key in range(80)}
-
-    blobs = sorted((path / "runs").glob("*.run"))
-    torn = blobs[0]
-    intact_size = torn.stat().st_size
-    with open(torn, "ab") as handle:
-        handle.write(b"\x13" * 11)
-
-    recovered = LSMEngine.open(path)
-    assert torn.stat().st_size == intact_size, "torn tail not truncated"
-    assert {key: recovered.get(key) for key in range(80)} == surface
 
 
 def test_cluster_reconciliation_reenforces_dth_on_trailing_shards(tmp_path):

@@ -39,7 +39,6 @@ from tests.conftest import TINY
 FLAVOURS = [
     ("every_op", {}),
     ("group4", {"wal_commit_policy": "group(4)"}),
-    ("interval5ms", {"wal_commit_policy": "interval(5)"}),
 ]
 
 TOTAL_OPS = 120

@@ -128,7 +128,7 @@ class CompactionExecutor:
 
         into_last_level = self._lands_in_last_level(tree, task, victims)
 
-        streams = [f.entries() for f in participants]
+        runs = [f.entries() for f in participants]
         range_tombstones = [
             rt for f in participants for rt in f.range_tombstones
         ]
@@ -149,7 +149,7 @@ class CompactionExecutor:
             inputs=len(participants),
         ):
             outcome = merge_for_compaction(
-                streams,
+                runs,
                 range_tombstones,
                 into_last_level=into_last_level,
                 extra_cover_tombstones=extra_cover,

@@ -51,7 +51,7 @@ def full_tree_compaction(
         stats.compactions += 1
         return []
 
-    streams = [f.entries() for f in all_files]
+    runs = [f.entries() for f in all_files]
     range_tombstones = [rt for f in all_files for rt in f.range_tombstones]
 
     pages_in = sum(f.num_pages for f in all_files)
@@ -61,7 +61,7 @@ def full_tree_compaction(
     stats.compaction_entries_in += sum(f.meta.num_entries for f in all_files)
 
     outcome = merge_for_compaction(
-        streams, range_tombstones, into_last_level=True
+        runs, range_tombstones, into_last_level=True
     )
     survivors = outcome.entries
     if drop_predicate is not None:

@@ -213,6 +213,15 @@ class BloomFilter:
     ) -> "BloomFilter":
         """Build a filter sized for (and filled with) ``keys``.
 
+        The one bulk build path (compaction output, flushes, recovery,
+        partial page rewrites), in one pass over the keys. With ``h1`` and
+        ``h2`` reduced modulo ``m``, a key's unreduced probe offsets
+        ``h1 + i · h2`` (``i < k``) all lie below ``k · m``; their bits
+        form a geometric series, ``(2^(k·h2) - 1) / (2^h2 - 1)`` shifted
+        by ``h1``, ORed into one wide integer per filter. Folding that
+        integer onto ``m`` bits reduces every offset modulo ``m``: the
+        bits are exactly those :meth:`update` sets one probe at a time.
+
         Construction-time inserts are *not* charged to ``stats``: building
         a file's filters happens during compaction, whose cost the paper
         accounts as I/O, not query-path hashing. The live filter charges
@@ -220,9 +229,25 @@ class BloomFilter:
         """
         key_list = list(keys)
         size = expected_entries if expected_entries is not None else len(key_list)
-        bf = cls(max(size, 1), bits_per_key, stats=None)
-        bf.update(key_list)
-        bf.stats = stats
+        bf = cls(max(size, 1), bits_per_key, stats=stats)
+        num_bits = bf.num_bits
+        num_hashes = bf.num_hashes
+        wide = 0
+        for key in key_list:
+            h1, h2 = digest_pair(key)
+            h1 %= num_bits
+            h2 %= num_bits
+            if h2:
+                wide |= ((1 << num_hashes * h2) - 1) // ((1 << h2) - 1) << h1
+            else:
+                wide |= 1 << h1  # every probe lands on h1
+        bits = 0
+        low_bits = (1 << num_bits) - 1
+        while wide:
+            bits |= wide & low_bits
+            wide >>= num_bits
+        bf._bits = bytearray(bits.to_bytes(len(bf._bits), "little"))
+        bf._count = len(key_list)
         return bf
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -10,14 +10,15 @@ pointers on ``D`` per page, and Bloom filters per page.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from itertools import chain
+from typing import Any
 
 from repro.core.config import EngineConfig
 from repro.core.stats import Statistics
 from repro.filters.fence import FencePointers
 from repro.kiwi.tile import DeleteTile
 from repro.lsm.range_tombstone import fragment
-from repro.lsm.runfile import FileMeta, LookupResult, RunFile
+from repro.lsm.runfile import FileMeta, LookupResult, RunFile, meta_for
 from repro.storage.disk import SimulatedDisk
 from repro.storage.entry import Entry, RangeTombstone
 
@@ -51,6 +52,7 @@ class KiWiFile(RunFile):
         candidates_max = [k for k in (entry_max, rt_max) if k is not None]
         self._min_key = min(candidates_min)
         self._max_key = max(candidates_max)
+        self._refresh_size()
 
     # ------------------------------------------------------------------
     # RunFile interface
@@ -74,7 +76,11 @@ class KiWiFile(RunFile):
 
     @property
     def size_bytes(self) -> int:
-        return sum(t.size_bytes for t in self._tiles) + sum(
+        return self._size_bytes
+
+    def _refresh_size(self) -> None:
+        """Computed at build time and after every page drop."""
+        self._size_bytes = sum(t.size_bytes for t in self._tiles) + sum(
             rt.size for rt in self.range_tombstones
         )
 
@@ -144,10 +150,9 @@ class KiWiFile(RunFile):
             )
         return result
 
-    def entries(self) -> Iterator[Entry]:
-        """S-sorted stream across tiles (tiles are S-ordered and disjoint)."""
-        for tile in self._tiles:
-            yield from tile.entries_sorted_by_key()
+    def entries(self) -> list[Entry]:
+        """S-sorted entries across tiles (tiles are S-ordered and disjoint)."""
+        return list(chain.from_iterable(t.entries() for t in self._tiles))
 
     # ------------------------------------------------------------------
     # Secondary range delete
@@ -187,6 +192,7 @@ class KiWiFile(RunFile):
         self._fences = FencePointers([t.min_key for t in self._tiles])
         if dropped_total > 0:
             self._recompute_meta()
+            self._refresh_size()
         return dropped_total
 
     def _recompute_meta(self) -> None:
@@ -239,23 +245,10 @@ def build_kiwi_file(
                 stats=stats,
             )
         )
-    tombstone_times = [e.write_time for e in entries if e.is_tombstone]
-    tombstone_times += [rt.write_time for rt in range_tombstones]
-    seqnums = [e.seqnum for e in entries] + [rt.seqnum for rt in range_tombstones]
-    meta = FileMeta(
-        created_at=now,
-        level=level,
-        num_entries=len(entries),
-        num_point_tombstones=sum(1 for e in entries if e.is_tombstone),
-        num_range_tombstones=len(range_tombstones),
-        oldest_tombstone_time=min(tombstone_times) if tombstone_times else None,
-        min_seqnum=min(seqnums) if seqnums else 0,
-        max_seqnum=max(seqnums) if seqnums else 0,
-    )
     return KiWiFile(
         tiles=tiles,
         range_tombstones=list(range_tombstones),
-        meta=meta,
+        meta=meta_for(entries, range_tombstones, now, level),
         disk=disk,
         stats=stats,
     )

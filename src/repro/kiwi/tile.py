@@ -9,7 +9,8 @@ lookups stay fast once a page is in memory (binary search on ``S``).
 
 Construction takes a contiguous ``S``-sorted slice of entries (the tile's
 ``S`` range), redistributes it into pages by ``D`` rank, then re-sorts each
-page on ``S`` — producing exactly the invariants above.
+page on ``S`` — producing exactly the invariants above. Both sorts are
+stable C-level sorts on one attribute: ties on ``D`` keep ``S`` order.
 
 Entries without a delete key (point tombstones) sort before all real
 delete keys, so tombstones cluster in a tile's first page(s); those pages
@@ -18,8 +19,9 @@ carry ``None`` delete-fence bounds and are never full-dropped.
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Iterator
+from itertools import chain, compress, repeat
+from operator import attrgetter, is_, not_
+from typing import Any
 
 from repro.core.errors import KeyWeavingError
 from repro.core.stats import Statistics
@@ -30,19 +32,25 @@ from repro.storage.entry import Entry
 from repro.storage.page import Page
 
 
-def _delete_order_token(entry: Entry) -> tuple:
-    """Sort token placing no-delete-key entries first, then by ``D``.
+_KEY = attrgetter("key")
+_DELETE_KEY = attrgetter("delete_key")
 
-    Ties on ``D`` break by sort key so construction is deterministic.
-    """
-    if entry.delete_key is None:
-        return (0, 0, entry.key)
-    return (1, entry.delete_key, entry.key)
+
+def _delete_order(entries: list[Entry]) -> list[Entry]:
+    """An ``S``-sorted slice in page order: entries without a delete key
+    first (in ``S`` order), then the rest by ``D``, ties in ``S`` order."""
+    delete_keys = list(map(_DELETE_KEY, entries))
+    if None not in delete_keys:
+        return sorted(entries, key=_DELETE_KEY)
+    lacking = list(map(is_, delete_keys, repeat(None)))
+    return list(compress(entries, lacking)) + sorted(
+        compress(entries, map(not_, lacking)), key=_DELETE_KEY
+    )
 
 
 def _page_bounds(page: Page) -> tuple[Any, Any] | None:
     """(min D, max D) of a page, or ``None`` if any entry lacks a delete key."""
-    delete_keys = [e.delete_key for e in page]
+    delete_keys = list(map(_DELETE_KEY, page))
     if None in delete_keys:
         return None
     return min(delete_keys), max(delete_keys)
@@ -87,23 +95,18 @@ class DeleteTile:
         # longer holds the key), never incorrect.
         self._min_key = entries[0].key
         self._max_key = entries[-1].key
-
-        by_delete_key = sorted(entries, key=_delete_order_token)
-        self._pages: list[Page] = []
-        self._blooms: list[BloomFilter] = []
-        for start in range(0, len(by_delete_key), page_entries):
-            chunk = sorted(
-                by_delete_key[start : start + page_entries], key=lambda e: e.key
-            )
-            page = Page(page_entries, chunk).seal()
-            self._pages.append(page)
-            self._blooms.append(
-                BloomFilter.from_keys(
-                    (e.key for e in page), bits_per_key, stats=stats
-                )
-            )
         self._bits_per_key = bits_per_key
-        self._rebuild_delete_fences()
+
+        by_delete_key = _delete_order(entries)
+        self._pages: list[Page] = [
+            Page(
+                page_entries,
+                sorted(by_delete_key[start : start + page_entries], key=_KEY),
+            ).seal()
+            for start in range(0, len(by_delete_key), page_entries)
+        ]
+        self._blooms = [self._filter(page) for page in self._pages]
+        self._reindex()
         self._check_weave_invariant()
 
     @classmethod
@@ -132,17 +135,12 @@ class DeleteTile:
         tile._stats = stats
         tile._min_key = min_key
         tile._max_key = max_key
+        tile._bits_per_key = bits_per_key
         tile._pages = [
             Page(page_entries, chunk).seal() for chunk in page_entry_lists
         ]
-        tile._blooms = [
-            BloomFilter.from_keys(
-                (e.key for e in page), bits_per_key, stats=stats
-            )
-            for page in tile._pages
-        ]
-        tile._bits_per_key = bits_per_key
-        tile._rebuild_delete_fences()
+        tile._blooms = [tile._filter(page) for page in tile._pages]
+        tile._reindex()
         tile._check_weave_invariant()
         return tile
 
@@ -150,10 +148,18 @@ class DeleteTile:
     # Invariants & metadata
     # ------------------------------------------------------------------
 
-    def _rebuild_delete_fences(self) -> None:
+    def _filter(self, page: Page) -> BloomFilter:
+        """The page's own Bloom filter (§4.2.3)."""
+        return BloomFilter.from_keys(
+            map(_KEY, page), self._bits_per_key, stats=self._stats
+        )
+
+    def _reindex(self) -> None:
+        """Recompute what the page list determines: delete fences, size."""
         self._delete_fences = DeleteFencePointers(
             [_page_bounds(p) for p in self._pages]
         )
+        self._size_bytes = sum(p.size_bytes for p in self._pages)
 
     def _check_weave_invariant(self) -> None:
         """Pages must be non-decreasing in delete-key order (read off the
@@ -195,7 +201,7 @@ class DeleteTile:
 
     @property
     def size_bytes(self) -> int:
-        return sum(p.size_bytes for p in self._pages)
+        return self._size_bytes
 
     @property
     def is_empty(self) -> bool:
@@ -274,9 +280,10 @@ class DeleteTile:
             result.extend(page.entries_with_delete_key_in(d_lo, d_hi))
         return result
 
-    def entries_sorted_by_key(self) -> Iterator[Entry]:
-        """Merge the tile's pages back into one ``S``-sorted stream."""
-        return heapq.merge(*self._pages, key=lambda e: e.sort_token())
+    def entries(self) -> list[Entry]:
+        """The tile's entries back in ``S`` order. Keys are unique within
+        a file, so one sort on the key restores it."""
+        return sorted(chain.from_iterable(self._pages), key=_KEY)
 
     # ------------------------------------------------------------------
     # Secondary range delete support (mutation!)
@@ -353,13 +360,7 @@ class DeleteTile:
                     disk.charge_write(1)
                     stats.srd_pages_written += 1
                     surviving.append(new_page)
-                    surviving_blooms.append(
-                        BloomFilter.from_keys(
-                            (e.key for e in new_page),
-                            self._bits_per_key,
-                            stats=self._stats,
-                        )
-                    )
+                    surviving_blooms.append(self._filter(new_page))
                 # An emptied boundary page is released like a full drop,
                 # but it already cost the read.
                 continue
@@ -368,7 +369,7 @@ class DeleteTile:
 
         self._pages = surviving
         self._blooms = surviving_blooms
-        self._rebuild_delete_fences()
+        self._reindex()
         return dropped_entries, full_drops, partial_drops
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -17,6 +17,7 @@ sorted, which is what lets the read path bisect it.
 
 from __future__ import annotations
 
+from operator import attrgetter, lt
 from typing import Any
 
 from repro.core.config import EngineConfig
@@ -41,14 +42,16 @@ def build_run(
     """Materialize a sorted run as a list of files (S-ordered, disjoint).
 
     ``entries`` must be sorted on the sort key with unique keys (version
-    resolution happens upstream in the merge); the builder validates order
-    defensively because broken order silently corrupts every later read.
+    resolution happens upstream in the merge); the builder validates both
+    defensively because broken order or a duplicate key silently corrupts
+    every later read.
     """
-    for i in range(len(entries) - 1):
-        if entries[i].key > entries[i + 1].key:
-            raise ValueError(
-                f"run not sorted: {entries[i].key!r} before {entries[i + 1].key!r}"
-            )
+    keys = list(map(attrgetter("key"), entries))
+    if not all(map(lt, keys, keys[1:])):
+        i = next(i for i in range(len(keys) - 1) if not keys[i] < keys[i + 1])
+        raise ValueError(
+            f"run not sorted with unique keys: {keys[i]!r} before {keys[i + 1]!r}"
+        )
 
     if not entries and not range_tombstones:
         return []

@@ -1,9 +1,11 @@
-"""K-way merge with LSM version-resolution and tombstone semantics.
+"""Merges with LSM version-resolution and tombstone semantics.
 
 Used by compactions (§2: "entries with a matching key are consolidated and
 only the most recent valid entry is retained") and by range lookups (§2:
 "a range lookup returns the most recent versions of the target keys by
-sort-merging the qualifying key ranges across all runs").
+sort-merging the qualifying key ranges across all runs"). A compaction
+holds every input entry in memory anyway, so it sorts the concatenated
+runs with C-level sorts; a range lookup heap-merges its streams.
 
 The resolution rules (§3.1.1):
 
@@ -23,9 +25,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import chain, groupby
+from operator import attrgetter
 from typing import Any, Iterable, Iterator
 
-from repro.storage.entry import Entry, RangeTombstone
+from repro.storage.entry import Entry, EntryKind, RangeTombstone
+
+_KEY = attrgetter("key")
+_SEQNUM = attrgetter("seqnum")
+_TOMBSTONE = EntryKind.TOMBSTONE
 
 
 @dataclass
@@ -50,7 +58,8 @@ def merge_sorted_streams(streams: Iterable[Iterator[Entry]]) -> Iterator[Entry]:
     """Heap-merge S-sorted streams into one stream ordered by sort token.
 
     For equal keys the most recent version (largest seqnum) comes first,
-    which the resolution pass below relies on.
+    which the resolution pass below relies on. Range lookups merge this
+    way; compactions sort instead (:func:`merge_for_compaction`).
     """
     return heapq.merge(*streams, key=lambda e: e.sort_token())
 
@@ -81,7 +90,7 @@ def resolve_versions(
 
 
 def merge_for_compaction(
-    streams: list[Iterator[Entry]],
+    runs: list[list[Entry]],
     range_tombstones: list[RangeTombstone],
     into_last_level: bool,
     extra_cover_tombstones: list[RangeTombstone] | None = None,
@@ -90,8 +99,8 @@ def merge_for_compaction(
 
     Parameters
     ----------
-    streams:
-        S-sorted entry streams of the participating files.
+    runs:
+        S-sorted entry lists of the participating files.
     range_tombstones:
         Range tombstones carried by the participating files. They drop
         covered entries here and are retained in the output (unless the
@@ -104,39 +113,47 @@ def merge_for_compaction(
         this compaction. They may cover entries being merged (a newer
         delete above), but they must NOT be consumed or re-emitted here —
         they still live in their own files.
+
+    The concatenated runs go through two stable sorts, newest first and
+    then by key: exactly the :meth:`~repro.storage.entry.Entry.sort_token`
+    order :func:`merge_sorted_streams` yields, ties included (equal
+    tokens keep run order).
     """
     outcome = MergeOutcome()
     covering = list(range_tombstones)
     if extra_cover_tombstones:
         covering += extra_cover_tombstones
 
-    merged = merge_sorted_streams(streams)
-    current_key: Any = object()
-    for entry in merged:
-        if entry.key != current_key:
-            current_key = entry.key
-            survivor = True
-        else:
-            survivor = False
-        if not survivor:
-            outcome.invalid_entries_dropped += 1
-            continue
-        if any(rt.covers(entry.key, entry.seqnum) for rt in covering):
-            outcome.invalid_entries_dropped += 1
-            continue
-        if entry.is_tombstone and into_last_level:
-            # Compacted with the last level: nothing older can exist, the
-            # delete is now persistent and the tombstone itself goes away.
-            outcome.dropped_tombstones.append(entry)
-            continue
-        outcome.entries.append(entry)
-
+    merged = list(chain.from_iterable(runs))
+    merged.sort(key=_SEQNUM, reverse=True)
+    merged.sort(key=_KEY)
+    # The first version of each key is its newest; the rest are invalid.
+    survivors = [next(versions) for _, versions in groupby(merged, _KEY)]
+    outcome.invalid_entries_dropped = len(merged) - len(survivors)
+    if covering:
+        visible = [
+            entry
+            for entry in survivors
+            if not any(rt.covers(entry.key, entry.seqnum) for rt in covering)
+        ]
+        outcome.invalid_entries_dropped += len(survivors) - len(visible)
+        survivors = visible
     if into_last_level:
+        # Compacted with the last level: nothing older can exist, the
+        # deletes are now persistent and the tombstones themselves go away.
+        outcome.dropped_tombstones = [
+            entry for entry in survivors if entry.kind is _TOMBSTONE
+        ]
+        if outcome.dropped_tombstones:
+            survivors = [
+                entry for entry in survivors if entry.kind is not _TOMBSTONE
+            ]
         outcome.dropped_range_tombstones.extend(range_tombstones)
     else:
         outcome.range_tombstones.extend(
             sorted(range_tombstones, key=lambda rt: (rt.start, rt.seqnum))
         )
+    outcome.entries = survivors
     return outcome
 
 

@@ -41,8 +41,6 @@ from repro.core.clock import SimulatedClock
 from repro.core.engine import LSMEngine
 from repro.core.errors import PersistenceError
 from repro.core.stats import Statistics
-from repro.filters.bloom import BloomFilter
-from repro.filters.fence import FencePointers
 from repro.kiwi.layout import KiWiFile
 from repro.kiwi.tile import DeleteTile
 from repro.lsm.runfile import FileMeta, RunFile, ensure_file_numbers_above
@@ -267,19 +265,13 @@ def _rebuild_run_file(
     meta = FileMeta(**meta_fields)
 
     if blob.layout == "sstable":
-        pages = [Page(config.page_entries, chunk).seal() for chunk in blob.pages]
-        bloom = BloomFilter.from_keys(
-            (e.key for chunk in blob.pages for e in chunk),
-            config.bits_per_key,
-            stats=stats,
-        )
-        fences = FencePointers([p.min_key for p in pages])
         return SSTable(
-            pages=pages,
+            pages=[
+                Page(config.page_entries, chunk).seal() for chunk in blob.pages
+            ],
             range_tombstones=list(blob.range_tombstones),
             meta=meta,
-            bloom=bloom,
-            fences=fences,
+            bits_per_key=config.bits_per_key,
             disk=disk,
             stats=stats,
         )

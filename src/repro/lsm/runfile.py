@@ -24,11 +24,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from operator import attrgetter
+from typing import Any
 
 from repro.core import locks
 from repro.lsm.range_tombstone import covering_seqnum
-from repro.storage.entry import Entry, RangeTombstone
+from repro.storage.entry import Entry, EntryKind, RangeTombstone
+
+_SEQNUM = attrgetter("seqnum")
 
 # One lock covers both allocation and the recovery-path ratchet: parallel
 # shard recovery calls ensure_file_numbers_above() from pool threads while
@@ -113,6 +116,31 @@ class FileMeta:
     @property
     def has_tombstones(self) -> bool:
         return self.oldest_tombstone_time is not None
+
+
+def meta_for(
+    entries: list[Entry],
+    range_tombstones: list[RangeTombstone],
+    now: float,
+    level: int,
+) -> FileMeta:
+    """The metadata of a new file holding ``entries`` and ``range_tombstones``."""
+    tombstone_times = [
+        e.write_time for e in entries if e.kind is EntryKind.TOMBSTONE
+    ]
+    num_point_tombstones = len(tombstone_times)
+    tombstone_times += [rt.write_time for rt in range_tombstones]
+    seqnums = list(map(_SEQNUM, entries)) + [rt.seqnum for rt in range_tombstones]
+    return FileMeta(
+        created_at=now,
+        level=level,
+        num_entries=len(entries),
+        num_point_tombstones=num_point_tombstones,
+        num_range_tombstones=len(range_tombstones),
+        oldest_tombstone_time=min(tombstone_times, default=None),
+        min_seqnum=min(seqnums, default=0),
+        max_seqnum=max(seqnums, default=0),
+    )
 
 
 @dataclass(slots=True)
@@ -202,8 +230,8 @@ class RunFile(abc.ABC):
         """All entries with sort key in ``[lo, hi]`` (unresolved versions)."""
 
     @abc.abstractmethod
-    def entries(self) -> Iterator[Entry]:
-        """All entries in sort-key order (compaction input stream).
+    def entries(self) -> list[Entry]:
+        """All entries in sort-key order, as a list (compaction input).
 
         Does not charge I/O — compactions charge whole-file reads when the
         task executes, to keep read accounting in one place.

@@ -8,14 +8,16 @@ evaluation uses, and the layout KiWi degenerates to at ``h = 1``.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from itertools import chain
+from operator import attrgetter
+from typing import Any
 
 from repro.core.config import EngineConfig
 from repro.core.stats import Statistics
 from repro.filters.bloom import BloomFilter
 from repro.filters.fence import FencePointers
 from repro.lsm.range_tombstone import fragment
-from repro.lsm.runfile import FileMeta, LookupResult, RunFile
+from repro.lsm.runfile import FileMeta, LookupResult, RunFile, meta_for
 from repro.storage.disk import SimulatedDisk
 from repro.storage.entry import Entry, RangeTombstone
 from repro.storage.page import Page
@@ -24,8 +26,9 @@ from repro.storage.page import Page
 class SSTable(RunFile):
     """An immutable classic-layout run file.
 
-    Build with :func:`build_sstable`; direct construction expects
-    already-prepared pages (sorted, non-overlapping, sealed).
+    Build with :func:`build_sstable`; direct construction (recovery)
+    expects already-prepared pages (sorted, non-overlapping, sealed) and
+    builds the file's Bloom filter and fence pointers from them.
     """
 
     def __init__(
@@ -33,8 +36,7 @@ class SSTable(RunFile):
         pages: list[Page],
         range_tombstones: list[RangeTombstone],
         meta: FileMeta,
-        bloom: BloomFilter,
-        fences: FencePointers,
+        bits_per_key: float,
         disk: SimulatedDisk,
         stats: Statistics,
     ):
@@ -45,8 +47,12 @@ class SSTable(RunFile):
         # builder already fragmented) so the read path can bisect.
         self.range_tombstones = tuple(fragment(range_tombstones))
         self.meta = meta
-        self._bloom = bloom
-        self._fences = fences
+        self._bloom = BloomFilter.from_keys(
+            map(attrgetter("key"), chain.from_iterable(pages)),
+            bits_per_key,
+            stats=stats,
+        )
+        self._fences = FencePointers([p.min_key for p in pages])
         self._disk = disk
         self._stats = stats
         entry_min = pages[0].min_key if pages else None
@@ -59,6 +65,9 @@ class SSTable(RunFile):
         candidates_max = [k for k in (entry_max, rt_max) if k is not None]
         self._min_key = min(candidates_min)
         self._max_key = max(candidates_max)
+        self._size_bytes = sum(p.size_bytes for p in pages) + sum(
+            rt.size for rt in self.range_tombstones
+        )
 
     # ------------------------------------------------------------------
     # RunFile interface
@@ -82,9 +91,7 @@ class SSTable(RunFile):
 
     @property
     def size_bytes(self) -> int:
-        return sum(p.size_bytes for p in self._pages) + sum(
-            rt.size for rt in self.range_tombstones
-        )
+        return self._size_bytes
 
     @property
     def bloom(self) -> BloomFilter:
@@ -150,9 +157,8 @@ class SSTable(RunFile):
             result.extend(page.range(lo, hi))
         return result
 
-    def entries(self) -> Iterator[Entry]:
-        for page in self._pages:
-            yield from page
+    def entries(self) -> list[Entry]:
+        return list(chain.from_iterable(self._pages))
 
     def __len__(self) -> int:
         return self.meta.num_entries
@@ -183,29 +189,11 @@ def build_sstable(
         chunk = entries[start : start + config.page_entries]
         pages.append(Page(config.page_entries, chunk).seal())
 
-    tombstone_times = [e.write_time for e in entries if e.is_tombstone]
-    tombstone_times += [rt.write_time for rt in range_tombstones]
-    seqnums = [e.seqnum for e in entries] + [rt.seqnum for rt in range_tombstones]
-    meta = FileMeta(
-        created_at=now,
-        level=level,
-        num_entries=len(entries),
-        num_point_tombstones=sum(1 for e in entries if e.is_tombstone),
-        num_range_tombstones=len(range_tombstones),
-        oldest_tombstone_time=min(tombstone_times) if tombstone_times else None,
-        min_seqnum=min(seqnums) if seqnums else 0,
-        max_seqnum=max(seqnums) if seqnums else 0,
-    )
-    bloom = BloomFilter.from_keys(
-        (e.key for e in entries), config.bits_per_key, stats=stats
-    )
-    fences = FencePointers([p.min_key for p in pages])
     return SSTable(
         pages=pages,
         range_tombstones=list(range_tombstones),
-        meta=meta,
-        bloom=bloom,
-        fences=fences,
+        meta=meta_for(entries, range_tombstones, now, level),
+        bits_per_key=config.bits_per_key,
         disk=disk,
         stats=stats,
     )

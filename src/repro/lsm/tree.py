@@ -25,7 +25,7 @@ never wrong.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.core import locks
 from repro.core.config import EngineConfig
@@ -291,9 +291,9 @@ class LSMTree:
 
     def _entry_sources(
         self, buffer_entries: list[Entry] | None
-    ) -> Iterator[Iterator[Entry]]:
+    ) -> Iterator[Iterable[Entry]]:
         if buffer_entries:
-            yield iter(buffer_entries)
+            yield buffer_entries
         for run_file in self.all_files():
             yield run_file.entries()
 

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from operator import attrgetter, le
 from typing import Any, Iterable, Iterator
 
 from repro.core.errors import PageFullError
 from repro.storage.entry import Entry
 
 _page_uid_counter = itertools.count()
+_KEY = attrgetter("key")
+_SIZE = attrgetter("size")
 
 
 class Page:
@@ -35,7 +38,7 @@ class Page:
         Optional initial entries; must already be sorted on the sort key.
     """
 
-    __slots__ = ("capacity", "uid", "_entries", "_keys", "_sealed")
+    __slots__ = ("capacity", "uid", "_entries", "_keys", "_size", "_sealed")
 
     def __init__(self, capacity: int, entries: Iterable[Entry] = ()):
         self.uid = next(_page_uid_counter)
@@ -47,10 +50,11 @@ class Page:
             raise PageFullError(
                 f"{len(self._entries)} entries exceed page capacity {capacity}"
             )
-        keys = [e.key for e in self._entries]
-        if any(keys[i] > keys[i + 1] for i in range(len(keys) - 1)):
+        keys = list(map(_KEY, self._entries))
+        if not all(map(le, keys, keys[1:])):
             raise ValueError("page entries must be sorted on the sort key")
         self._keys = keys
+        self._size = sum(map(_SIZE, self._entries))
         self._sealed = False
 
     # ------------------------------------------------------------------
@@ -69,6 +73,7 @@ class Page:
             )
         self._entries.append(entry)
         self._keys.append(entry.key)
+        self._size += entry.size
 
     def seal(self) -> "Page":
         """Freeze the page (no further appends); returns self for chaining."""
@@ -110,8 +115,8 @@ class Page:
 
     @property
     def size_bytes(self) -> int:
-        """Sum of declared entry sizes."""
-        return sum(e.size for e in self._entries)
+        """Sum of declared entry sizes (kept as entries are added)."""
+        return self._size
 
     @property
     def tombstone_count(self) -> int:

@@ -48,6 +48,13 @@ class TestSplitting:
         with pytest.raises(ValueError):
             build(shuffled)
 
+    def test_duplicate_keys_rejected(self):
+        """Version resolution happens in the merge: a run reaching the
+        builder holds each key once."""
+        older, newer = make_entries([7, 7])
+        with pytest.raises(ValueError, match="unique"):
+            build([older, newer])
+
     def test_layout_dispatch(self):
         classic = build(make_entries(range(8)))
         assert isinstance(classic[0], SSTable)

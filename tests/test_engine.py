@@ -386,6 +386,19 @@ _PINNED_READ_AMP_COUNTERS = {
     "range_tombstone_skips": 238,
 }
 
+# Recorded at the parent of the commit that rewrote the compaction merge
+# and the KiWi/SSTable rebuild for per-entry CPU cost. That change may
+# alter how entries are merged, woven and filtered, never which entries
+# survive or how many bytes move (``pages_written`` is pinned above).
+_PINNED_COMPACTION_COUNTERS = {
+    "compaction_bytes_read": 19799520,
+    "compaction_bytes_written": 19302524,
+    "compaction_entries_in": 21073,
+    "compaction_entries_out": 20409,
+    "invalid_entries_purged": 465,
+    "tombstones_dropped": 300,
+}
+
 
 def test_seeded_workload_counters_are_pinned():
     """Ingest (puts, point deletes incl. blind ones, range deletes,
@@ -429,6 +442,9 @@ def test_seeded_workload_counters_are_pinned():
     assert {
         name: snapshot[name] for name in _PINNED_READ_AMP_COUNTERS
     } == _PINNED_READ_AMP_COUNTERS
+    assert {
+        name: snapshot[name] for name in _PINNED_COMPACTION_COUNTERS
+    } == _PINNED_COMPACTION_COUNTERS
     assert answers == 1150
     assert engine.write_amplification() == pytest.approx(8.764771135, abs=1e-9)
     assert engine.space_amplification() == pytest.approx(0.098024142, abs=1e-9)

@@ -69,7 +69,7 @@ class TestWeaveInvariants:
 
     def test_entries_sorted_by_key_round_trip(self):
         tile, _ = make_tile(n=16)
-        assert [e.key for e in tile.entries_sorted_by_key()] == list(range(16))
+        assert [e.key for e in tile.entries()] == list(range(16))
 
 
 class TestTileReads:
@@ -200,5 +200,5 @@ def test_property_secondary_delete_exact(keys_and_dkeys, h, d_lo, width):
         k for k, d in keys_and_dkeys if not (d_lo <= d < d_hi)
     }
     tile.apply_secondary_delete(d_lo, d_hi, disk, stats)
-    survivors = {e.key for e in tile.entries_sorted_by_key()}
+    survivors = {e.key for e in tile.entries()}
     assert survivors == expected_survivors

@@ -9,15 +9,12 @@ shows the three distinctive cluster operations:
    every shard at once, each paying only page drops),
 3. splitting the hot shard — and finally verifies the cluster answers
    queries byte-identically to a single engine fed the same stream,
-4. parallel execution: the same fan-out on a thread-pooled cluster with
-   a real device-latency model, showing wall-clock speedup from
-   overlapping the shards' I/O waits, plus the bounded async ingest
-   queue pipelining a stream.
+4. pipelined ingest: the same stream through an ingest session (one
+   bounded worker queue per shard) lands exactly where routed ingest
+   puts it.
 
 Run:  python examples/sharded_cluster.py
 """
-
-import time
 
 from repro import (
     LSMEngine,
@@ -119,42 +116,21 @@ def main() -> None:
     print(f"cluster space amplification: {cluster.space_amplification():.4f}")
     print(f"tombstones on disk: {cluster.tombstones_on_disk()}")
 
-    print("\n== parallel execution: pooled fan-out over a device model ==")
-    # Fresh 4-shard clusters, one per dispatch strategy, preloaded with
-    # the same stream; then every shard's disk sleeps 200 µs per page —
-    # a real device wait the thread pool overlaps across shards.
-    walls = {}
-    answers = {}
-    for executor in ("serial", "pooled"):
-        parallel_cluster = ShardedEngine(
-            build_config(), n_shards=4, executor=executor
-        )
-        parallel_cluster.ingest(ingest_ops)
-        parallel_cluster.flush()
-        for shard in parallel_cluster.shards:
-            shard.disk.real_io_seconds = 200e-6
-        started = time.perf_counter()
-        scanned = parallel_cluster.scan(0, 80_000)
-        leftovers = parallel_cluster.secondary_range_lookup(
-            purge_lo, purge_hi
-        )
-        walls[executor] = time.perf_counter() - started
-        answers[executor] = (scanned, leftovers)
-        parallel_cluster.executor.close()
-    print(f"serial fan-out: {walls['serial']*1e3:.0f} ms; "
-          f"pooled fan-out: {walls['pooled']*1e3:.0f} ms "
-          f"({walls['serial']/walls['pooled']:.1f}x)")
-    print(f"identical answers: {answers['serial'] == answers['pooled']}")
-
-    print("\n== async ingest queue (bounded pipeline) ==")
+    print("\n== pipelined ingest through a session (bounded queues) ==")
+    # Two fresh 4-shard clusters fed the same stream: one routed inline
+    # by ingest(), one through per-shard worker queues of depth 4.
+    serial = ShardedEngine(build_config(), n_shards=4)
+    serial.ingest(ingest_ops)
+    serial.flush()
     queued = ShardedEngine(
         build_config(), n_shards=4, ingest_queue_depth=4, max_batch=64
     )
-    queued.ingest(ingest_ops)  # batches stream through per-shard workers
+    with queued.ingest_session() as session:
+        ticket = session.submit(ingest_ops)  # returns once enqueued
+        ticket.wait()  # every batch applied by the shard workers
     queued.flush()
-    print(f"pipelined ingest of {len(ingest_ops)} ops matches eager "
-          f"routing: {queued.scan(0, 80_000) == answers['serial'][0]}")
-
+    print(f"pipelined ingest of {len(ingest_ops)} ops matches routed "
+          f"ingest: {queued.scan(0, 80_000) == serial.scan(0, 80_000)}")
 
 if __name__ == "__main__":
     main()

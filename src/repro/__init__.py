@@ -67,13 +67,7 @@ from repro.kiwi.tuning import (
     optimal_tile_granularity,
 )
 from repro.shard.engine import ShardedEngine
-from repro.shard.parallel import (
-    AsyncIngestQueue,
-    PooledExecutor,
-    SerialExecutor,
-    ShardExecutor,
-    make_executor,
-)
+from repro.shard.parallel import AsyncIngestQueue
 from repro.shard.partitioner import HashPartitioner, Partitioner, RangePartitioner
 from repro.storage.entry import Entry, EntryKind, RangeTombstone
 from repro.storage.persist import (
@@ -117,12 +111,9 @@ __all__ = [
     "PageFullError",
     "Partitioner",
     "PersistenceError",
-    "PooledExecutor",
     "RangePartitioner",
     "RangeTombstone",
-    "SerialExecutor",
     "SerialScheduler",
-    "ShardExecutor",
     "ShardedEngine",
     "SimulatedClock",
     "SimulatedCrash",
@@ -137,7 +128,6 @@ __all__ = [
     "best_feasible_h",
     "kiwi_metadata_overhead_bytes",
     "lethe_config",
-    "make_executor",
     "make_scheduler",
     "optimal_tile_granularity",
     "rocksdb_config",

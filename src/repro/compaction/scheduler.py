@@ -4,8 +4,8 @@ Until this module existed, every compaction executed *inline* in the
 write path — :meth:`LSMEngine.flush` ran the policy's task queue to
 convergence before acknowledging, so a single buffer flush could stall
 ingest for an entire merge cascade. A :class:`CompactionScheduler` makes
-"when compactions run" its own subsystem, the same strategy-object shape
-as :class:`~repro.shard.parallel.ShardExecutor`:
+"when compactions run" its own subsystem, a strategy object with two
+implementations:
 
 * :class:`SerialScheduler` (the default) preserves the original
   semantics exactly: a notification drains the engine's pending tasks
@@ -570,8 +570,7 @@ def make_scheduler(
     """Resolve a scheduler choice: instance, name, or ``None`` (serial).
 
     Accepts ``"serial"`` and ``"background"`` so the choice threads
-    through configs and the CLI without importing classes (mirrors
-    :func:`repro.shard.parallel.make_executor`).
+    through configs and the CLI without importing classes.
     """
     if spec is None:
         return SerialScheduler()

@@ -21,8 +21,9 @@ Thread safety
 -------------
 A sharded cluster shares **one** clock across all member engines so FADE
 TTLs and persistence latencies stay on a single cluster-wide timeline.
-Under pooled shard execution (:mod:`repro.shard.parallel`) several member
-engines tick that clock concurrently, and ``self._now += step`` is a
+Several threads may tick that clock at once — callers writing to
+different members, or the per-shard workers of an ingest session
+(:mod:`repro.shard.parallel`) — and ``self._now += step`` is a
 read-modify-write the interpreter may preempt mid-update. :meth:`tick`
 and :meth:`advance` therefore mutate under an internal lock: after any
 interleaving of N ticks the clock has moved by exactly ``N / I`` seconds.

@@ -101,10 +101,10 @@ class EngineConfig:
         Must be a multiple of ``delete_tile_pages``.
     real_io_seconds:
         *Real* (wall-clock) seconds slept per simulated page I/O. Default
-        0 keeps experiments instantaneous; the parallel-scaling bench sets
-        it to emulate an actual device wait — ``time.sleep`` releases the
-        GIL, so pooled shard execution overlaps these waits exactly as a
-        deployment overlaps requests to independent disks.
+        0 keeps experiments instantaneous; a positive value turns each
+        charged page into an actual device wait (``time.sleep``, which
+        releases the GIL to other threads, as a real device wait would).
+        A timing taken with it on is mostly that sleep, not Python work.
     avoid_blind_deletes:
         When true, FADE probes Bloom filters before inserting a tombstone
         and skips tombstones for keys that are definitely absent (§4.1.5

@@ -61,7 +61,6 @@ RANK_CLIENT_POOL_PERMITS = 1000  # net/client.py ClientPool._available
 RANK_CLIENT_POOL_STATE = 1200    # net/client.py ClientPool._lock
 RANK_INGEST_SESSION = 2000       # shard/parallel.py IngestSession._lock
 RANK_TOPOLOGY_GATE = 2200        # shard/topology.py _TopologyGate._condition
-RANK_EXECUTOR_POOL = 2400        # shard/parallel.py PooledExecutor._lock
 # Member lock i gets RANK_SHARD_MEMBER + i: quiescent readers
 # (ShardedEngine._locked_view) take every member nested in ascending
 # index order, so each index is its own rank. ~400 shards of headroom

@@ -235,9 +235,7 @@ def _rebuild_tree(
                     level_arrival_time=arrival,
                 )
                 # The restart waits on the device for every page it
-                # loads (uncharged: recovered stats start fresh). The
-                # sleep releases the GIL — what pooled shard recovery
-                # overlaps.
+                # loads (uncharged: recovered stats start fresh).
                 engine.disk.device_wait(run_file.num_pages)
                 files.append(run_file)
                 info.files_loaded += 1

@@ -24,11 +24,14 @@ Concurrency model — three pieces, nothing else shared: one immutable
 topology snapshot and one reader-writer gate that every operation holds
 *shared* and a reshard *exclusive* (both explained in
 :mod:`repro.shard.topology`), and **one lock per member engine**: every
-dispatched task holds its shard's lock for its duration, so shards are
-internally serial, mutually parallel, and ``Statistics`` registries are
-only ever mutated single-threaded. (The shared clock has its own
-internal lock — see :mod:`repro.core.clock`.) Background *compactions*
-are the exception to "internally serial": a shared
+call on a member holds its shard's lock for its duration, so shards are
+internally serial, mutually parallel across caller threads (and the
+:class:`~repro.shard.parallel.IngestSession` workers), and
+``Statistics`` registries are only ever mutated single-threaded.
+Multi-shard operations visit their members in a plain loop, one member
+lock at a time. (The shared clock has its own internal lock — see
+:mod:`repro.core.clock`.) Background *compactions* are the exception
+to "internally serial": a shared
 :class:`~repro.compaction.scheduler.BackgroundScheduler`'s workers
 compact members without taking shard locks (one merge per member at a
 time, under that member's compaction mutex) — the counters those merges
@@ -64,19 +67,12 @@ from repro.shard.parallel import (  # IngestSession/-Ticket: re-exported
     AsyncIngestQueue,
     IngestSession,
     IngestTicket,
-    ShardExecutor,
-    make_executor,
 )
 from repro.shard.partitioner import HashPartitioner, Partitioner, RangePartitioner
 from repro.shard.router import Barrier, OperationRouter, ShardBatch
 from repro.shard.topology import TopologyLog, _Topology, _TopologyGate
 from repro.storage.entry import Entry
 from repro.storage.persist import FaultInjector, SimulatedCrash
-
-# Queue bound used when ``ingest(..., pipelined=True)`` is requested on a
-# cluster constructed with ``ingest_queue_depth=0`` (i.e. pipelining was
-# not pre-configured but is explicitly asked for on this call).
-DEFAULT_PIPELINE_DEPTH = 4
 
 
 class ShardedEngine:
@@ -99,10 +95,6 @@ class ShardedEngine:
     clock:
         Optional externally-owned clock shared with other engines under
         comparison.
-    executor:
-        How multi-shard work is dispatched: a
-        :class:`~repro.shard.parallel.ShardExecutor` instance, the string
-        ``"serial"`` / ``"pooled"``, or ``None`` for the serial default.
     scheduler:
         How member compactions execute: a :class:`~repro.compaction.
         scheduler.CompactionScheduler` instance, ``"serial"`` /
@@ -115,9 +107,9 @@ class ShardedEngine:
         constructed from a string and closes it in :meth:`close`; a
         caller-supplied instance is the caller's to close.
     ingest_queue_depth:
-        When > 0, :meth:`ingest` pipelines per-shard batches through an
-        :class:`~repro.shard.parallel.AsyncIngestQueue` bounded at this
-        many batches per shard; 0 (default) keeps the synchronous path.
+        Per-shard batch bound of every :meth:`ingest_session` pipeline
+        (default 4): a producer blocks once a shard is this many
+        batches behind.
     store_path:
         When set, the cluster is durable: each member engine gets a
         :class:`~repro.storage.persist.DurableStore` under a private
@@ -141,9 +133,8 @@ class ShardedEngine:
         shard_configs: Sequence[EngineConfig] | None = None,
         clock: SimulatedClock | None = None,
         max_batch: int = 1024,
-        executor: ShardExecutor | str | None = None,
         scheduler: CompactionScheduler | str | None = None,
-        ingest_queue_depth: int = 0,
+        ingest_queue_depth: int = 4,
         store_path: str | Path | None = None,
         injector: FaultInjector | None = None,
         _recovered: tuple[TopologyLog, Sequence[LSMEngine]] | None = None,
@@ -152,13 +143,12 @@ class ShardedEngine:
             raise ConfigError("pass exactly one of n_shards / partitioner")
         if partitioner is None:
             partitioner = HashPartitioner(n_shards)
-        if ingest_queue_depth < 0:
+        if ingest_queue_depth < 1:
             raise ConfigError(
-                f"ingest_queue_depth must be >= 0, got {ingest_queue_depth}"
+                f"ingest_queue_depth must be >= 1, got {ingest_queue_depth}"
             )
         self.config = config
         self.clock = clock or SimulatedClock(config.ingestion_rate)
-        self.executor = make_executor(executor)
         # One scheduler for every member: cluster-wide compaction
         # concurrency is its worker count. Close it only if we built it.
         self._owns_scheduler = not isinstance(scheduler, CompactionScheduler)
@@ -199,8 +189,8 @@ class ShardedEngine:
         # never go backwards when members are replaced.
         self._retired_stats = Statistics()
         self.obs = Observability.from_config(config)
-        # The pipelined ingest queue is per-call; the sampler reads the
-        # live one (if any) through this slot.
+        # The open ingest session's queue (if any); the sampler reads
+        # its backlog through this slot.
         self._active_ingest_queue: AsyncIngestQueue | None = None
         self.obs.start_sampler(self._obs_sample)
 
@@ -213,9 +203,8 @@ class ShardedEngine:
         cls,
         path: str | Path,
         max_batch: int = 1024,
-        executor: ShardExecutor | str | None = None,
         scheduler: CompactionScheduler | str | None = None,
-        ingest_queue_depth: int = 0,
+        ingest_queue_depth: int = 4,
         injector: FaultInjector | None = None,
     ) -> "ShardedEngine":
         """Recover a durable cluster from its topology log.
@@ -223,33 +212,23 @@ class ShardedEngine:
         Reads the last intact ``TOPOLOGY.log`` record, recovers every
         member engine from its shard directory (manifest + WAL replay,
         see :mod:`repro.lsm.recovery`), and rebuilds the partitioner.
-        Member recoveries dispatch through the chosen executor — shard
-        directories share nothing, so ``executor="pooled"`` overlaps
-        their device waits and recovers the cluster in parallel. Each
-        member recovers on a private clock; after the join the clocks
-        are *reconciled* deterministically: one shared clock advances to
-        the latest recovered instant (a max — independent of dispatch
-        order), every member rebinds to it, and FADE members re-run the
-        ``D_th`` WAL routine at the shared instant so §4.1.5 holds
-        against the cluster clock, not each shard's private one. Shard
-        directories not referenced by the record — orphans of a reshard
-        that crashed before its topology commit — are ignored and
-        removed.
+        Members recover one after another, each on a private clock;
+        afterwards the clocks are *reconciled*: one shared clock
+        advances to the latest recovered instant (a max — independent
+        of recovery order), every member rebinds to it, and FADE members
+        re-run the ``D_th`` WAL routine at the shared instant so §4.1.5
+        holds against the cluster clock, not each shard's private one.
+        Shard directories not referenced by the record — orphans of a
+        reshard that crashed before its topology commit — are ignored
+        and removed.
         """
         from repro.lsm.recovery import recover_engine  # local to avoid cycle
 
         log, partitioner = TopologyLog.load(path, injector)
-        executor_obj = make_executor(executor)
-        members: list[LSMEngine] = executor_obj.run(
-            [
-                (
-                    lambda dirname=dirname: recover_engine(
-                        log.root / dirname, injector=injector
-                    )
-                )
-                for dirname in log.shard_dirs
-            ]
-        )
+        members = [
+            recover_engine(log.root / dirname, injector=injector)
+            for dirname in log.shard_dirs
+        ]
         clock = SimulatedClock(members[0].config.ingestion_rate)
         recovered_now = max(member.clock.now for member in members)
         if recovered_now > 0:
@@ -269,7 +248,6 @@ class ShardedEngine:
             partitioner=partitioner,
             clock=clock,
             max_batch=max_batch,
-            executor=executor_obj,
             scheduler=scheduler,
             ingest_queue_depth=ingest_queue_depth,
             _recovered=(log, members),
@@ -315,8 +293,8 @@ class ShardedEngine:
         self._broadcast(lambda shard: shard.sync())
 
     def close(self) -> None:
-        """Drain and close every member store, then retire the executor
-        and (when cluster-owned) the compaction scheduler.
+        """Drain and close every member store, then retire the compaction
+        scheduler when cluster-owned.
 
         Background compaction work is drained *before* the stores close,
         so every acknowledged merge is durably committed. Exiting
@@ -324,12 +302,10 @@ class ShardedEngine:
         batch is lost, exactly as its commit policy documents.
 
         Shutdown is exception-safe: every step below (sampler, scheduler
-        drain, each member store, executor, owned scheduler) runs even
-        when an earlier one raises, so a failing member cannot leak the
-        sampler/scheduler/worker daemon threads of the others. The first
-        exception re-raises once teardown completes. Member stores close
-        serially (not through the executor) so a broken executor cannot
-        block store shutdown.
+        drain, each member store, owned scheduler) runs even when an
+        earlier one raises, so a failing member cannot leak the
+        sampler/scheduler daemon threads or the other members' stores.
+        The first exception re-raises once teardown completes.
         """
         errors: list[BaseException] = []
 
@@ -354,7 +330,6 @@ class ShardedEngine:
                     step(close_shard)
         except BaseException as exc:  # noqa: BLE001 - gate itself failed
             errors.append(exc)
-        step(self.executor.close)
         if self._owns_scheduler:
             step(self.scheduler.close)
         if errors:
@@ -429,25 +404,18 @@ class ShardedEngine:
         indexes: Sequence[int],
         call: Callable[[LSMEngine], Any],
     ) -> list[Any]:
-        """Run ``call(member)`` per shard index through the executor.
+        """Run ``call(member)`` per shard index, in a loop.
 
         Results come back in ``indexes`` order. The caller holds the
         gate shared, so ``topology`` is stable for the whole fan-out;
-        each task holds its shard's lock for its whole duration, so
-        pooled execution never interleaves two tasks on one member.
+        each call holds its shard's lock, so no other thread's work
+        interleaves with it on that member.
         """
-
-        def task_for(index: int) -> Callable[[], Any]:
-            lock = topology.locks[index]
-            shard = topology.shards[index]
-
-            def task() -> Any:
-                with lock:
-                    return call(shard)
-
-            return task
-
-        return self.executor.run([task_for(index) for index in indexes])
+        results = []
+        for index in indexes:
+            with topology.locks[index]:
+                results.append(call(topology.shards[index]))
+        return results
 
     def _broadcast(self, call: Callable[[LSMEngine], Any]) -> list[Any]:
         """``call(member)`` on every shard, under the gate held shared;
@@ -496,20 +464,12 @@ class ShardedEngine:
         with self._gate.shared():
             topology = self._topology
             partitioner = topology.partitioner
-            tasks: list[Callable[[], Any]] = []
             for index in partitioner.shards_for_range(lo, hi):
                 start, end = partitioner.clip_range(index, lo, hi)
                 if start >= end:
                     continue  # routed over-inclusively; nothing owned here
-                lock = topology.locks[index]
-                shard = topology.shards[index]
-
-                def task(lock=lock, shard=shard, start=start, end=end) -> None:
-                    with lock:
-                        shard.delete_range(start, end)
-
-                tasks.append(task)
-            self.executor.run(tasks)
+                with topology.locks[index]:
+                    topology.shards[index].delete_range(start, end)
 
     def secondary_range_delete(self, d_lo: Any, d_hi: Any) -> SecondaryDeleteReport:
         """Scatter-gather delete on the secondary key: all shards, summed bill."""
@@ -596,69 +556,39 @@ class ShardedEngine:
     # Batched ingest
     # ------------------------------------------------------------------
 
-    def ingest(
-        self, operations: Iterable[tuple], pipelined: bool | None = None
-    ) -> None:
+    def ingest(self, operations: Iterable[tuple]) -> None:
         """Apply a workload stream, grouped per shard before dispatch.
 
         Point operations accumulate into per-shard batches (one
-        :meth:`LSMEngine.ingest` call per batch); any multi-shard
-        operation acts as a barrier that drains the batches first, so
-        scatter-gather deletes and cross-shard scans observe every
-        earlier write. Per-key operation order is always preserved.
-
-        ``pipelined`` selects the asynchronous path (default: on iff the
-        cluster was built with ``ingest_queue_depth > 0``): batches are
-        enqueued to per-shard workers through a bounded
-        :class:`~repro.shard.parallel.AsyncIngestQueue`, so a hot shard
-        works through its backlog while the stream keeps feeding the
-        others; barriers drain the queue before executing, preserving
-        exactly the serial path's visibility guarantees. Passing
-        ``pipelined=True`` on a cluster configured with depth 0 uses
-        :data:`DEFAULT_PIPELINE_DEPTH` as the per-shard bound. The queue
-        (and its one worker thread per shard) lives for this call only —
-        per-call lifetime keeps error isolation simple; amortize the
-        thread churn by feeding large streams, not per-operation calls.
+        :meth:`LSMEngine.ingest` call per batch, applied in the calling
+        thread); any multi-shard operation acts as a barrier that
+        drains the batches first, so scatter-gather deletes and
+        cross-shard scans observe every earlier write. Per-key operation
+        order is always preserved. For a pipelined stream, open an
+        :meth:`ingest_session`.
 
         The stream is routed against the topology current at call time;
         the gate is taken per batch (not for the whole stream), so a
         reshard may land between batches — each batch then re-routes its
         operations through the new topology (see :meth:`_apply_batch`).
         """
-        if pipelined is None:
-            pipelined = self.ingest_queue_depth > 0
-
-        if not pipelined:
-            topology = self._topology
-            for item in topology.router.batches(operations):
-                if isinstance(item, ShardBatch):
-                    self._apply_batch(topology, item.shard, item.operations)
-                elif isinstance(item, Barrier):
-                    self._run_barrier(item)
-            return
-
-        # The pipelined path is a single-submit ingest session: the same
-        # machinery the serving layer holds open across many submits.
-        with self.ingest_session() as session:
-            session.submit(operations)
-            session.drain()
+        topology = self._topology
+        for item in topology.router.batches(operations):
+            if isinstance(item, ShardBatch):
+                self._apply_batch(topology, item.shard, item.operations)
+            elif isinstance(item, Barrier):
+                self._run_barrier(item)
 
     def _run_barrier(self, item: Barrier) -> None:
         """Dispatch one multi-shard (barrier) operation from a stream."""
         name, *args = item.operation
         getattr(self, name)(*args)
 
-    def ingest_session(self, depth: int | None = None) -> "IngestSession":
-        """Open a long-lived pipelined ingest handle on this cluster.
-
-        Unlike :meth:`ingest`, which builds and tears down its per-shard
-        worker threads per call (see :class:`IngestSession`). ``depth``
-        defaults to the cluster's configured ``ingest_queue_depth`` (or
-        :data:`DEFAULT_PIPELINE_DEPTH`).
-        """
-        return IngestSession(
-            self, depth or self.ingest_queue_depth or DEFAULT_PIPELINE_DEPTH
-        )
+    def ingest_session(self) -> "IngestSession":
+        """Open a long-lived pipelined ingest handle on this cluster: one
+        worker thread per shard, each bounded at ``ingest_queue_depth``
+        batches (see :class:`IngestSession`)."""
+        return IngestSession(self)
 
     def _apply_batch(
         self, routed: _Topology, index: int, batch_ops: list
@@ -714,10 +644,8 @@ class ShardedEngine:
         """Recut every split point at the observed live-key quantiles.
 
         The heavyweight cluster-wide reshard: every member retires, and
-        the new split points are the quantiles of all live keys (results
-        come back from the executor in shard order, so the chosen points
-        do not depend on the dispatch strategy). Returns the new split
-        points.
+        the new split points are the quantiles of all live keys.
+        Returns the new split points.
         """
 
         def recut(old: RangePartitioner, survivors: list[Entry]) -> RangePartitioner:
@@ -792,10 +720,9 @@ class ShardedEngine:
                 pending_rts = [
                     rt for member in retiring for rt in member.buffer.range_tombstones
                 ]
-                per_member = self.executor.run(
-                    [lambda member=member: _live_entries(member) for member in retiring]
-                )
-                survivors = [entry for entries in per_member for entry in entries]
+                survivors = [
+                    entry for member in retiring for entry in _live_entries(member)
+                ]
                 partitioner = choose(old, survivors)
                 # Durable clusters migrate into *new* shard directories;
                 # the retiring ones stay intact until the topology record
@@ -892,7 +819,7 @@ class ShardedEngine:
         """Cluster-wide counters: live shards plus retired ones.
 
         Takes every shard lock (index order) so the merged registry is a
-        consistent snapshot even while pooled work is in flight.
+        consistent snapshot even while other threads' work is in flight.
         """
         with self._locked_view() as topology:
             return Statistics.combined(
@@ -941,7 +868,6 @@ class ShardedEngine:
         with self._locked_view() as topology:
             lines = [
                 f"ShardedEngine({topology.partitioner.describe()}, "
-                f"executor={self.executor.describe()}, "
                 f"entries/shard={_entry_counts(topology)})"
             ]
             for index, shard in enumerate(topology.shards):

@@ -17,11 +17,9 @@ would have produced.
   the cluster-wide page bill of a scatter-gather secondary range delete
   (exactly the paper's per-tree cost model, times the fan-out).
 
-Order independence matters for parallel dispatch: both functions consume
-results *positionally* (the executor returns them in shard order
-regardless of completion order), so a pooled fan-out merges to the same
-bytes as the serial loop — the property the parallel equivalence tests
-pin down.
+Both functions consume results *positionally*: the cluster's fan-out
+returns them in shard order, so a merged answer depends only on the
+per-shard answers.
 """
 
 from __future__ import annotations

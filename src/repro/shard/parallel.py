@@ -1,19 +1,10 @@
-"""Parallel shard execution: pooled fan-out and the async ingest pipeline.
+"""The shard ingest pipeline: a bounded per-shard queue and the session
+that holds it open.
 
-Sharding makes per-shard *work* smaller; this module is what turns that
-into wall-clock speedup:
-
-* **Executors** — a :class:`ShardExecutor` strategy with two
-  implementations: :class:`SerialExecutor` (a plain loop, the default)
-  and :class:`PooledExecutor` (a shared thread pool). Every
-  multi-shard operation on the cluster (``scan``, ``secondary_range_
-  lookup``, ``secondary_range_delete``, ``flush``, ``force_full_
-  compaction``, idle checks, reshard collection) builds one task per
-  shard and hands the list to the executor, which returns results in
-  shard order. Member trees share no mutable state except the cluster
-  clock (itself thread-safe, see :mod:`repro.core.clock`), and the
-  sharded engine serializes access to each member behind a per-shard
-  lock, so pooled dispatch needs no further coordination.
+Every other multi-shard operation on the cluster runs as a plain loop
+over the members (see :meth:`~repro.shard.engine.ShardedEngine._fan_out`);
+this module is the one write path that applies shard batches on worker
+threads of their own:
 
 * **The async ingest queue** — :class:`AsyncIngestQueue` turns the
   router's per-shard batches into a bounded pipeline: one worker thread
@@ -22,29 +13,19 @@ into wall-clock speedup:
   blocks when that hot shard is ``depth`` batches behind (backpressure
   instead of unbounded memory). Barriers (multi-shard operations) call
   :meth:`AsyncIngestQueue.drain` so they observe every earlier write —
-  the same ordering contract the serial path honours.
+  the same ordering contract :meth:`~repro.shard.engine.ShardedEngine.
+  ingest` honours.
 
 * **Ingest sessions** — :class:`IngestSession` holds one such queue open
   on a :class:`~repro.shard.engine.ShardedEngine` across many submits,
-  each acknowledged through an :class:`IngestTicket`.
-
-Why threads help a GIL-bound interpreter at all: an LSM engine is
-I/O-bound, and I/O waits release the GIL. The simulated disk can inject
-*real* per-page device latency (``EngineConfig.real_io_seconds``), which
-it serves with ``time.sleep`` — exactly the wait a real storage stack
-would park on — so pooled fan-out overlaps the shards' device time the
-way a deployment overlaps requests to independent disks. The in-Python
-bookkeeping (merges, Bloom probes) stays serialized by the GIL, so a
-speed-up measured with those sleeps on is mostly overlapped waiting, not
-a result; ``benchmarks/perf`` measures the sharded path without them.
+  each acknowledged through an :class:`IngestTicket`. It is the cluster's
+  only pipelined write path; the serving layer keeps one per server.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor, wait
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.core import locks
@@ -54,128 +35,6 @@ from repro.shard.router import Barrier, ShardBatch
 
 if TYPE_CHECKING:
     from repro.shard.engine import ShardedEngine
-
-
-class ShardExecutor(ABC):
-    """Strategy for dispatching one task per shard.
-
-    ``run`` takes zero-argument callables (one per participating shard)
-    and returns their results *in task order* — callers rely on result
-    position matching shard position for k-way merges and report sums.
-    The first task exception propagates to the caller.
-    """
-
-    @abstractmethod
-    def run(self, tasks: Sequence[Callable[[], Any]]) -> list[Any]:
-        """Execute every task; return results in task order."""
-
-    def close(self) -> None:
-        """Release any pooled resources (idempotent; no-op by default)."""
-
-    def describe(self) -> str:
-        return type(self).__name__
-
-
-class SerialExecutor(ShardExecutor):
-    """The original behaviour: run each shard's task in a plain loop.
-
-    Default because it is deterministic down to the interleaving of
-    clock ticks, adds zero overhead for single-shard clusters, and is
-    the right choice whenever per-shard work is pure CPU (the GIL would
-    serialize a pool anyway).
-    """
-
-    def run(self, tasks: Sequence[Callable[[], Any]]) -> list[Any]:
-        return [task() for task in tasks]
-
-
-class PooledExecutor(ShardExecutor):
-    """Fan shard tasks out to a shared :class:`ThreadPoolExecutor`.
-
-    Parameters
-    ----------
-    max_workers:
-        Pool width. ``None`` (default) sizes the pool to the widest
-        fan-out seen so far, so an 8-shard cluster gets 8 workers and
-        every shard's device wait overlaps.
-    """
-
-    def __init__(self, max_workers: int | None = None):
-        if max_workers is not None and max_workers < 1:
-            raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
-        self._requested = max_workers
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_width = 0
-        self._lock = locks.OrderedLock(
-            "parallel.executor-pool", locks.RANK_EXECUTOR_POOL
-        )
-
-    def _pool_for(self, width: int) -> ThreadPoolExecutor:
-        """Current pool, grown to ``width`` if auto-sized. Caller holds
-        ``_lock`` — growth replaces the pool, and submitting under the
-        same lock is what keeps a concurrent ``run`` from holding a
-        just-shut-down pool reference."""
-        wanted = self._requested or max(width, 2)
-        if self._pool is None or (
-            self._requested is None and wanted > self._pool_width
-        ):
-            if self._pool is not None:
-                # No new submits can race us (they need _lock); let the
-                # old pool finish its in-flight work and retire without
-                # blocking the grower.
-                self._pool.shutdown(wait=False)
-            self._pool = ThreadPoolExecutor(
-                max_workers=wanted, thread_name_prefix="shard"
-            )
-            self._pool_width = wanted
-        return self._pool
-
-    def run(self, tasks: Sequence[Callable[[], Any]]) -> list[Any]:
-        if len(tasks) <= 1:
-            # No fan-out to overlap; skip the submit/wakeup round trip.
-            return [task() for task in tasks]
-        with self._lock:
-            pool = self._pool_for(len(tasks))
-            futures = [pool.submit(task) for task in tasks]
-        # Wait for EVERY task before propagating the first failure: the
-        # sharded engine's gate treats a returned fan-out as "no task in
-        # flight", so leaving stragglers running after an early raise
-        # would let a subsequent reshard race them.
-        wait(futures)
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        with self._lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-                self._pool_width = 0
-
-    def describe(self) -> str:
-        width = self._requested if self._requested is not None else "auto"
-        return f"PooledExecutor(max_workers={width})"
-
-
-def make_executor(spec: ShardExecutor | str | None) -> ShardExecutor:
-    """Resolve an executor choice: instance, name, or ``None`` (serial).
-
-    Accepts the strings ``"serial"`` and ``"pooled"`` so the choice can
-    be threaded through configs and the CLI without importing classes.
-    """
-    if spec is None:
-        return SerialExecutor()
-    if isinstance(spec, ShardExecutor):
-        return spec
-    if isinstance(spec, str):
-        name = spec.strip().lower()
-        if name == "serial":
-            return SerialExecutor()
-        if name == "pooled":
-            return PooledExecutor()
-        raise ConfigError(
-            f"unknown executor {spec!r}; expected 'serial' or 'pooled'"
-        )
-    raise ConfigError(f"cannot build an executor from {spec!r}")
 
 
 _STOP = object()
@@ -417,12 +276,12 @@ class IngestTicket:
 class IngestSession:
     """A long-lived pipelined ingest handle on a :class:`ShardedEngine`.
 
-    Holds one :class:`AsyncIngestQueue` (one
-    worker thread per shard, bounded depth) across many :meth:`submit`
-    calls, so concurrent producers — e.g. every connection of the
-    serving layer — share a single bounded pipeline instead of paying
-    per-call worker churn. Each submit returns an :class:`IngestTicket`
-    that completes when that submit's batches have been applied.
+    Holds one :class:`AsyncIngestQueue` (one worker thread per shard,
+    bounded at the cluster's ``ingest_queue_depth``) across many
+    :meth:`submit` calls, so concurrent producers — e.g. every
+    connection of the serving layer — share a single bounded pipeline.
+    Each submit returns an :class:`IngestTicket` that completes when
+    that submit's batches have been applied.
 
     Ordering: submits are serialized by an internal lock, and each
     shard's batches apply in enqueue order, so two submits' writes to
@@ -436,7 +295,7 @@ class IngestSession:
     so sessions stay correct across a split or rebalance.
     """
 
-    def __init__(self, cluster: "ShardedEngine", depth: int):
+    def __init__(self, cluster: "ShardedEngine"):
         self._cluster = cluster
         # Outermost rank: submit holds it across barrier drains that
         # descend through the gate, member locks, and engine internals.
@@ -454,7 +313,7 @@ class IngestSession:
 
         self._queue = AsyncIngestQueue(
             [handler_for(index) for index in range(topology.partitioner.n_shards)],
-            depth=depth,
+            depth=cluster.ingest_queue_depth,
             obs=cluster.obs,
         )
         cluster._active_ingest_queue = self._queue

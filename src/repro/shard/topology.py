@@ -52,8 +52,8 @@ class _Topology:
     exclusively, so any operation holding the gate shared observes one
     stable, mutually consistent (partitioner, shards, locks) triple for
     its whole run. An operation that routed its work before a reshard
-    (pipelined ingest batches) re-routes per key when it observes the
-    snapshot changed.
+    (the batches of an ingest stream or session) re-routes per key when
+    it observes the snapshot changed.
     """
 
     __slots__ = ("partitioner", "router", "shards", "locks")

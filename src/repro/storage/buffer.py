@@ -123,10 +123,15 @@ class MemoryBuffer:
 
     def scan(self, lo: Any, hi: Any) -> list[Entry]:
         """Buffered entries with sort key in ``[lo, hi]``, key-ordered."""
-        table = self._table
+        # Snapshot first: filtering the live dict in bytecode would race
+        # a concurrent put ("dictionary changed size during iteration").
+        # dict.copy() runs no Python code mid-copy; list(items()) would
+        # not do: its per-item tuples can trigger a GC whose finalizers
+        # let another thread run.
+        table = self._table.copy()
         if self._flushing_table:
             # Mid-flush snapshot: live entries shadow flushing ones.
-            table = {**self._flushing_table, **self._table}
+            table = {**self._flushing_table, **table}
         hits = [e for k, e in table.items() if lo <= k <= hi]
         hits.sort(key=lambda e: e.key)
         return hits

@@ -34,10 +34,10 @@ class SimulatedDisk:
     real_io_seconds:
         Wall-clock seconds slept per charged page (default 0: purely
         simulated accounting). When set, each charge sleeps once for the
-        whole page count — the device wait of a real storage stack. The
-        sleep releases the GIL, which is what lets pooled shard execution
-        overlap independent shards' I/O. Mutable at runtime so a bench can
-        preload at zero latency and then switch the device model on.
+        whole page count — the device wait of a real storage stack (the
+        sleep releases the GIL to other threads). Mutable at runtime so a
+        bench can preload at zero latency and then switch the device
+        model on.
     """
 
     def __init__(
@@ -63,10 +63,9 @@ class SimulatedDisk:
         accounting charge.
 
         Crash recovery uses this when it loads run blobs: the restart
-        genuinely waits on the device (and the sleep releases the GIL,
-        which is what pooled per-shard recovery overlaps), but recovered
-        engines start with fresh statistics — charging the load into
-        ``pages_read`` would pollute every post-restart metric.
+        genuinely waits on the device, but recovered engines start with
+        fresh statistics — charging the load into ``pages_read`` would
+        pollute every post-restart metric.
         """
         if pages < 0:
             raise StorageError(f"negative wait ({pages} pages)")

@@ -1,5 +1,9 @@
 """Unit tests for the memory buffer's §2 semantics."""
 
+import gc
+import sys
+import threading
+
 import pytest
 
 from repro.storage.buffer import MemoryBuffer
@@ -145,3 +149,63 @@ class TestSecondaryKeySupport:
         buffer = MemoryBuffer(16)
         buffer.put(put(1, 0))
         assert buffer.purge_delete_key_range(0, 10**12) == []
+
+
+
+class _Finalized:
+    def __del__(self):
+        pass
+
+
+class TestConcurrentReaders:
+    def test_scan_races_concurrent_puts_safely(self):
+        """A reader thread scans while the writer inserts new keys; with
+        thread switches forced every microsecond, a scan that iterated
+        the live table would die with "dictionary changed size during
+        iteration". The reader also leaves cyclic garbage with
+        finalizers behind and the collector runs often, so a snapshot
+        that allocates per item (and can collect, run a finalizer and
+        switch threads mid-copy) fails too. Draining every 256 puts
+        keeps each scan short."""
+        buffer = MemoryBuffer(1 << 20)
+        started = threading.Event()
+        done = threading.Event()
+        errors = []
+        scans = [0]
+
+        def reader():
+            try:
+                while not done.is_set():
+                    for _ in range(50):
+                        a, b = _Finalized(), _Finalized()
+                        a.other, b.other = b, a
+                    buffer.scan(0, 1 << 30)
+                    scans[0] += 1
+                    started.set()
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+            finally:
+                started.set()
+
+        interval = sys.getswitchinterval()
+        thresholds = gc.get_threshold()
+        sys.setswitchinterval(1e-6)
+        gc.set_threshold(50, 1, 1)
+        thread = threading.Thread(target=reader)
+        try:
+            thread.start()
+            started.wait(timeout=10)
+            for seq in range(20_000):
+                if errors:
+                    break
+                buffer.put(put(seq, seq))
+                if seq % 256 == 255:
+                    buffer.drain()
+        finally:
+            done.set()
+            thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+            gc.set_threshold(*thresholds)
+        assert not thread.is_alive(), "reader did not finish"
+        assert not errors, f"scan raced a put: {errors[0]!r}"
+        assert scans[0] > 0

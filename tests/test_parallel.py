@@ -1,12 +1,12 @@
-"""Tests for parallel shard execution and the async ingest queue.
+"""Tests for shard fan-out, the async ingest queue and ingest sessions.
 
 Three layers of assurance:
 
-1. unit tests for the executors and :class:`AsyncIngestQueue` in
+1. unit tests for the fan-out loop and :class:`AsyncIngestQueue` in
    isolation (ordering, bounded depth, error propagation);
-2. the headline property: a pooled cluster — and a pipelined-ingest
-   cluster — answers ``get``/``scan``/``secondary_range_lookup``
-   byte-identically to a serial cluster fed the same stream;
+2. the headline property: a stream pipelined through an ingest session
+   answers ``get``/``scan``/``secondary_range_lookup`` byte-identically
+   to the same stream applied by ``ingest``;
 3. a stress test hammering ``ingest`` and ``flush`` from concurrent
    threads, asserting the per-shard locks keep every ``Statistics``
    counter and the shared clock exact.
@@ -23,13 +23,7 @@ from hypothesis import given, settings
 from repro.core.clock import SimulatedClock
 from repro.core.errors import ConfigError
 from repro.shard.engine import ShardedEngine
-from repro.shard.parallel import (
-    AsyncIngestQueue,
-    PooledExecutor,
-    SerialExecutor,
-    ShardExecutor,
-    make_executor,
-)
+from repro.shard.parallel import AsyncIngestQueue
 from repro.shard.partitioner import RangePartitioner
 
 # Shared with the cluster-vs-single-engine property suite so both
@@ -38,122 +32,34 @@ from tests.test_shard import OPS, as_engine_ops, kiwi_cfg
 
 
 # ======================================================================
-# Executors
+# Fan-out
 # ======================================================================
 
 
-class TestExecutors:
-    @pytest.mark.parametrize(
-        "executor", [SerialExecutor(), PooledExecutor(max_workers=3)]
-    )
-    def test_results_in_task_order(self, executor):
-        # Tasks with inverted sleep times: completion order differs from
-        # submission order under a pool, results must not.
-        def task_for(index):
-            def task():
-                time.sleep((4 - index) * 0.002)
-                return index * 10
-
-            return task
-
-        assert executor.run([task_for(i) for i in range(5)]) == [
-            0, 10, 20, 30, 40,
+class TestFanOut:
+    def test_results_in_shard_order(self):
+        cluster = ShardedEngine(kiwi_cfg(), n_shards=4)
+        topology = cluster._topology
+        assert cluster._fan_out(topology, [2, 0, 3, 1], lambda shard: shard) == [
+            topology.shards[index] for index in (2, 0, 3, 1)
         ]
-        executor.close()
 
-    @pytest.mark.parametrize(
-        "executor", [SerialExecutor(), PooledExecutor(max_workers=2)]
-    )
-    def test_exception_propagates(self, executor):
+    def test_member_exception_propagates_and_releases_locks(self, monkeypatch):
+        cluster = ShardedEngine(kiwi_cfg(), n_shards=3)
+        failing = cluster.shards[1]
+
         def boom():
             raise ValueError("shard exploded")
 
+        monkeypatch.setattr(failing, "flush", boom)
         with pytest.raises(ValueError, match="shard exploded"):
-            executor.run([lambda: 1, boom, lambda: 3])
-        executor.close()
-
-    def test_pooled_run_waits_for_stragglers_on_failure(self):
-        """run() must not return (re-raising) while sibling tasks are
-        still executing — the cluster gate treats a returned fan-out as
-        'nothing in flight'."""
-        executor = PooledExecutor(max_workers=2)
-        finished = threading.Event()
-
-        def slow():
-            time.sleep(0.08)
-            finished.set()
-
-        def boom():
-            raise RuntimeError("early failure")
-
-        with pytest.raises(RuntimeError, match="early failure"):
-            executor.run([boom, slow])
-        assert finished.is_set(), "run() returned with a task in flight"
-        executor.close()
-
-    def test_pooled_overlaps_sleeps(self):
-        executor = PooledExecutor()
-        sleepers = [lambda: time.sleep(0.05) for _ in range(4)]
-        # Measures real pool overlap of real sleeps.
-        started = time.perf_counter()  # lint: allow(deterministic-clock)
-        executor.run(sleepers)
-        pooled_wall = time.perf_counter() - started  # lint: allow(deterministic-clock)
-        assert pooled_wall < 0.15, f"no overlap: {pooled_wall:.3f}s for 4x50ms"
-        executor.close()
-
-    def test_pool_grows_to_widest_fan_out(self):
-        executor = PooledExecutor()
-        executor.run([lambda: None] * 2)
-        executor.run([lambda: None] * 6)
-        assert executor._pool_width >= 6
-        executor.close()
-
-    def test_shared_pool_survives_concurrent_width_growth(self):
-        """Two threads drive one auto-sized executor at different fan-out
-        widths; pool growth must never strand the other thread's submits
-        on a shut-down pool."""
-        executor = PooledExecutor()
-        errors = []
-
-        def driver(width: int) -> None:
-            try:
-                for _ in range(30):
-                    results = executor.run(
-                        [(lambda v=v: v) for v in range(width)]
-                    )
-                    assert results == list(range(width))
-            except BaseException as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=driver, args=(width,))
-            for width in (2, 5, 9)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors, f"shared executor raised: {errors!r}"
-        executor.close()
-
-    def test_close_is_idempotent(self):
-        executor = PooledExecutor()
-        executor.run([lambda: 1, lambda: 2])
-        executor.close()
-        executor.close()
-
-    def test_make_executor(self):
-        assert isinstance(make_executor(None), SerialExecutor)
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("Pooled"), PooledExecutor)
-        passthrough = SerialExecutor()
-        assert make_executor(passthrough) is passthrough
-        with pytest.raises(ConfigError):
-            make_executor("fibers")
-        with pytest.raises(ConfigError):
-            make_executor(42)
-        with pytest.raises(ConfigError):
-            PooledExecutor(max_workers=0)
+            cluster.flush()
+        monkeypatch.undo()
+        # From another thread: the member locks are reentrant.
+        worker = threading.Thread(target=cluster.flush)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "a member lock stayed held"
 
 
 # ======================================================================
@@ -240,7 +146,7 @@ class TestAsyncIngestQueue:
 
 
 # ======================================================================
-# Pooled / pipelined clusters answer identically to serial ones
+# A session-pipelined stream answers identically to ingest()
 # ======================================================================
 
 
@@ -254,66 +160,27 @@ def query_fingerprint(cluster):
 
 
 @pytest.mark.parametrize(
-    "variant",
+    "layout",
     [
-        dict(executor="pooled"),
-        dict(executor="pooled", ingest_queue_depth=2, max_batch=8),
-        dict(ingest_queue_depth=3),
+        dict(n_shards=4),
+        dict(n_shards=4, ingest_queue_depth=2, max_batch=8),
+        dict(partitioner=RangePartitioner([15, 30, 45])),
     ],
-    ids=["pooled", "pooled+queue", "queue-only"],
+    ids=["hash", "hash-batch8", "range"],
 )
 @given(ops=OPS)
 @settings(max_examples=10, deadline=None)
-def test_property_parallel_cluster_matches_serial(variant, ops):
-    """The tentpole property: dispatch strategy never changes answers."""
+def test_property_parallel_cluster_matches_serial(layout, ops):
+    """The tentpole property: pipelining never changes answers."""
     stream = as_engine_ops(ops)
-    serial = ShardedEngine(kiwi_cfg(), n_shards=4)
+    serial = ShardedEngine(kiwi_cfg(), **layout)
     serial.ingest(stream)
-    parallel = ShardedEngine(kiwi_cfg(), n_shards=4, **variant)
-    parallel.ingest(stream)
-    try:
-        assert query_fingerprint(parallel) == query_fingerprint(serial)
-        assert (
-            parallel.stats.entries_ingested == serial.stats.entries_ingested
-        )
-    finally:
-        parallel.executor.close()
-
-
-@given(ops=OPS)
-@settings(max_examples=8, deadline=None)
-def test_property_pooled_range_cluster_matches_serial(ops):
-    stream = as_engine_ops(ops)
-    partitioner = RangePartitioner([15, 30, 45])
-    serial = ShardedEngine(kiwi_cfg(), partitioner=partitioner)
-    serial.ingest(stream)
-    pooled = ShardedEngine(
-        kiwi_cfg(), partitioner=RangePartitioner([15, 30, 45]),
-        executor="pooled",
-    )
-    pooled.ingest(stream)
-    try:
-        assert query_fingerprint(pooled) == query_fingerprint(serial)
-    finally:
-        pooled.executor.close()
-
-
-def test_pooled_rebalance_matches_serial():
-    stream = [("put", k, f"v{k}", k % 50) for k in range(200)]
-    clusters = []
-    for executor in ("serial", "pooled"):
-        cluster = ShardedEngine(
-            kiwi_cfg(),
-            partitioner=RangePartitioner([10, 20, 30]),
-            executor=executor,
-        )
-        cluster.ingest(stream)
-        cluster.rebalance()
-        clusters.append(cluster)
-    serial, pooled = clusters
-    assert pooled.partitioner.split_points == serial.partitioner.split_points
-    assert query_fingerprint(pooled)[:2] == query_fingerprint(serial)[:2]
-    pooled.executor.close()
+    parallel = ShardedEngine(kiwi_cfg(), **layout)
+    with parallel.ingest_session() as session:
+        session.submit(stream)
+        session.drain()
+    assert query_fingerprint(parallel) == query_fingerprint(serial)
+    assert parallel.stats.entries_ingested == serial.stats.entries_ingested
 
 
 # ======================================================================
@@ -330,9 +197,7 @@ class TestConcurrencyStress:
         With per-shard locks and the locked clock, every counter must
         come out exactly as if the work had run serially.
         """
-        cluster = ShardedEngine(
-            kiwi_cfg(), n_shards=4, executor="pooled", max_batch=16
-        )
+        cluster = ShardedEngine(kiwi_cfg(), n_shards=4, max_batch=16)
         writers = 4
         puts_per_writer = 300
         errors = []
@@ -382,7 +247,6 @@ class TestConcurrencyStress:
         assert stats.total_bytes_written == (
             stats.bytes_flushed + stats.compaction_bytes_written
         )
-        cluster.executor.close()
 
     def test_split_concurrent_with_writers_loses_nothing(self):
         """Resharding vs writers: the topology snapshot re-route.
@@ -392,11 +256,7 @@ class TestConcurrencyStress:
         shard locks during the split must re-route to the new members —
         every written key has to be readable afterwards.
         """
-        cluster = ShardedEngine(
-            kiwi_cfg(),
-            partitioner=RangePartitioner([500]),
-            executor="pooled",
-        )
+        cluster = ShardedEngine(kiwi_cfg(), partitioner=RangePartitioner([500]))
         keys_per_writer = 400
         errors = []
 
@@ -426,7 +286,6 @@ class TestConcurrencyStress:
         ]
         assert not missing, f"{len(missing)} writes lost across split: " \
                             f"{missing[:5]}"
-        cluster.executor.close()
 
     def test_batch_routed_before_split_reroutes_by_key(self):
         """A shard index from a pre-reshard routing must never be
@@ -456,7 +315,6 @@ class TestConcurrencyStress:
         cluster = ShardedEngine(
             kiwi_cfg(),
             partitioner=RangePartitioner([500]),
-            executor="pooled",
             max_batch=8,  # small batches: the stream straddles the split
         )
         total = 600
@@ -482,7 +340,6 @@ class TestConcurrencyStress:
         for k in range(0, total, 17):
             owner = cluster.partitioner.shard_for(k)
             assert cluster.shards[owner].get(k) == f"v{k}"
-        cluster.executor.close()
 
     def test_clock_ticks_are_atomic_across_threads(self):
         clock = SimulatedClock(ingestion_rate=1000.0)
@@ -518,11 +375,11 @@ class TestIngestErrorPath:
         from repro.core.errors import LetheError
 
         cluster = ShardedEngine(kiwi_cfg(), n_shards=2, ingest_queue_depth=2)
-        with pytest.raises(LetheError, match="unknown operation"):
-            cluster.ingest([("put", 1, "a", None), ("frobnicate", 2)])
-        # The queue was torn down cleanly: the cluster still works and
-        # the batch routed before the bad op was not lost.
-        cluster.ingest([("put", 3, "b", None)])
+        with cluster.ingest_session() as session:
+            with pytest.raises(LetheError, match="unknown operation"):
+                session.submit([("put", 1, "a", None), ("frobnicate", 2)])
+            # The session survives the bad stream: later submits apply.
+            session.submit([("put", 3, "b", None)]).wait(timeout=30)
         assert cluster.get(3) == "b"
 
     def test_engine_level_unknown_operation(self):

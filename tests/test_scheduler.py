@@ -560,34 +560,37 @@ def test_reads_are_snapshot_consistent_during_background_compaction():
     scheduler = BackgroundScheduler(workers=2)
     engine = make_engine(scheduler=scheduler, d_th=1e9)
     errors: list[str] = []
+    scans = [0]
     stop = threading.Event()
     # Writer inserts strictly increasing keys, never deleted: the live
     # key set only grows, so any scan that loses a previously seen key
     # observed a half-swapped level.
-    seen_floor = [0]
 
     def reader():
         best: set[int] = set()
-        while not stop.is_set():
-            rows = engine.scan(0, 10**9)
-            keys = [k for k, _v in rows]
-            if keys != sorted(keys):
-                errors.append("scan out of order")
-                return
-            if len(keys) != len(set(keys)):
-                errors.append("scan produced duplicate keys")
-                return
-            current = set(keys)
-            missing = best - current
-            if missing:
-                errors.append(f"scan lost live keys: {sorted(missing)[:5]}")
-                return
-            best = current
-            for key, value in rows:
-                if value != f"v{key}":
-                    errors.append(f"key {key} has torn value {value!r}")
+        try:
+            while not stop.is_set():
+                rows = engine.scan(0, 10**9)
+                scans[0] += 1
+                keys = [k for k, _v in rows]
+                if keys != sorted(keys):
+                    errors.append("scan out of order")
                     return
-        seen_floor[0] = len(best)
+                if len(keys) != len(set(keys)):
+                    errors.append("scan produced duplicate keys")
+                    return
+                current = set(keys)
+                missing = best - current
+                if missing:
+                    errors.append(f"scan lost live keys: {sorted(missing)[:5]}")
+                    return
+                best = current
+                for key, value in rows:
+                    if value != f"v{key}":
+                        errors.append(f"key {key} has torn value {value!r}")
+                        return
+        except BaseException as exc:  # noqa: BLE001 - asserted below
+            errors.append(f"reader raised {exc!r}")
 
     thread = threading.Thread(target=reader, daemon=True)
     try:
@@ -600,7 +603,9 @@ def test_reads_are_snapshot_consistent_during_background_compaction():
         stop.set()
         thread.join(timeout=10.0)
         scheduler.close()
+    assert not thread.is_alive(), "reader did not finish"
     assert not errors, errors[0]
+    assert scans[0] > 0, "reader never completed a scan"
     assert len(engine.scan(0, 10**9)) == 4000
 
 

@@ -327,8 +327,10 @@ class TestShutdownHygiene:
 
     def test_cluster_close_is_exception_safe(self, monkeypatch):
         """A failing member close must not leak the other members or
-        the executor/scheduler threads (the ISSUE's close() fix)."""
-        cluster = tiny_cluster(executor="pooled")
+        the cluster-owned background scheduler's threads."""
+        cluster = tiny_cluster(scheduler="background")
+        workers = list(cluster.scheduler._threads)
+        assert workers and all(t.is_alive() for t in workers)
         closed = []
         shard0 = cluster.shards[0]
         original_close = type(shard0).close
@@ -342,15 +344,11 @@ class TestShutdownHygiene:
         monkeypatch.setattr(type(shard0), "close", failing_close)
         with pytest.raises(RuntimeError, match="injected close failure"):
             cluster.close()
-        # Every *other* member still closed, and no pool threads leak.
+        # Every *other* member still closed, and no worker thread leaks.
         assert len(closed) == cluster.n_shards - 1
         monkeypatch.undo()
         shard0.close()
-        assert not [
-            t.name
-            for t in threading.enumerate()
-            if t.name.startswith(("shard", "compaction"))
-        ]
+        assert not [t.name for t in workers if t.is_alive()]
 
 
 class TestIngestSession:

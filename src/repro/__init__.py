@@ -43,7 +43,6 @@ from repro.core.config import (
     CompactionTrigger,
     EngineConfig,
     FileSelectionMode,
-    MergePolicy,
     lethe_config,
     rocksdb_config,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "KeyWeavingError",
     "LSMEngine",
     "LetheError",
-    "MergePolicy",
     "MultiTenantSpec",
     "MultiTenantWorkload",
     "PageFullError",

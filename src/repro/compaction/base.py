@@ -22,12 +22,11 @@ from repro.lsm.tree import LSMTree
 class CompactionTask:
     """One unit of compaction work chosen by a policy.
 
-    ``source_level == target_level`` encodes a last-level *self-compaction*
-    (rewriting a file in place to persist its tombstones); tiering sets
-    ``whole_level`` to merge every run of the source level at once.
-    ``install_as_run`` makes the executor install the output as a *new*
-    run at the target (tiered semantics: no merge with the target's
-    existing runs) instead of merging into the target's single run.
+    ``source_level == target_level`` encodes a *self-compaction*: a
+    last-level file rewritten in place to persist its tombstones, or
+    (with ``whole_level``) pure leveling's greedy merge of every Level-1
+    run into one. Otherwise the output merges into the target level's
+    overlapping files.
     """
 
     source_level: int
@@ -35,7 +34,6 @@ class CompactionTask:
     target_level: int
     trigger: CompactionTrigger
     whole_level: bool = False
-    install_as_run: bool = False
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -56,9 +54,6 @@ class CompactionPolicy(abc.ABC):
     @abc.abstractmethod
     def select(self, tree: LSMTree, now: float) -> CompactionTask | None:
         """Return the next task, or ``None`` when nothing needs compacting."""
-
-    def on_flush(self, tree: LSMTree, now: float) -> None:
-        """Hook invoked after every buffer flush (FADE recomputes TTLs here)."""
 
 
 # ----------------------------------------------------------------------
@@ -85,11 +80,6 @@ def saturated_levels(tree: LSMTree, level1_run_trigger: int = 0) -> list[int]:
         ):
             due.append(level.number)
     return due
-
-
-def overlap_count(candidate: RunFile, target: Level) -> int:
-    """How many files in ``target`` the candidate's key range overlaps."""
-    return sum(1 for f in target.files() if f.overlaps(candidate))
 
 
 def overlap_entries(candidate: RunFile, target: Level) -> int:

@@ -238,8 +238,6 @@ class CompactionExecutor:
         """Overlapping files in the target level that must join the merge."""
         if task.target_level == task.source_level:
             return []  # self-compaction rewrites the chosen files alone
-        if task.install_as_run:
-            return []  # tiered install: the output is its own run
         target = tree.ensure_level(task.target_level)
         source_ids = {id(f) for f in task.source_files}
         lo = min(f.min_key for f in task.source_files)
@@ -292,7 +290,7 @@ class CompactionExecutor:
         self, tree: LSMTree, task: CompactionTask, victims: list[RunFile]
     ) -> bool:
         """True when the output may drop tombstones: no data lives deeper
-        than the target, and (for tiered targets) no *other* run at the
+        than the target, and (for a multi-run target) no *other* run at the
         target level could hold older versions.
 
         Evaluated at prepare time; a flush racing the merge only adds
@@ -309,10 +307,6 @@ class CompactionExecutor:
         ]
         if not non_participating:
             return True
-        if task.install_as_run and task.target_level != task.source_level:
-            # The output lands as a *separate* run next to existing runs
-            # that may hold older versions of merged keys.
-            return False
         # Leveled single-run target: non-participating files are disjoint
         # from the merged key range (they were not selected as victims), so
         # they cannot hide older versions. Multi-run targets can.
@@ -410,8 +404,6 @@ class CompactionExecutor:
                     # Self-compaction: output replaces the sources in
                     # place, next to its surviving (disjoint) run peers.
                     target_level.insert_into_run(output_files)
-            elif task.install_as_run:
-                target_level.add_run(output_files)
             else:
                 target_level.insert_into_run(output_files)
 

@@ -17,10 +17,15 @@ computed by the paper's Figure 4 pseudocode.
 Trigger and selection (§4.1.4):
 
 * any expired file → **delete-driven trigger, delete-driven selection
-  (DD)**: compact an expired file regardless of saturation;
+  (DD)**: compact an expired file regardless of saturation. This check
+  always runs first; DD is not a configurable mode;
 * otherwise, saturation → **SO** (min overlap; write-amp optimal) or
   **SD** (highest estimated invalidation count ``b``; space-amp optimal),
-  per the configured secondary optimization goal.
+  per ``config.file_selection``, the secondary optimization goal.
+
+"FADE re-calculates d_i after every buffer flush" (§4.1.2): here every
+expiry check derives the TTLs from the tree's current height, so they
+are never stale.
 
 Tie-breaks: smallest level first; oldest tombstone, then most tombstones
 (DD/SD); most tombstones (SO).
@@ -100,13 +105,6 @@ class FADEPolicy(CompactionPolicy):
         self.estimator = estimator or InvalidationEstimator(
             key_bounds=lambda: None, total_entries=lambda: 0
         )
-        mode = config.file_selection
-        # DD names the expiry behaviour, which is always on; for saturation
-        # -driven work it implies delete-driven (SD-style) selection.
-        self.saturation_mode = (
-            FileSelectionMode.SD if mode is FileSelectionMode.DD else mode
-        )
-        self.cumulative_deadlines: list[float] = []
 
     # ------------------------------------------------------------------
     # TTL machinery (§4.1.2)
@@ -144,15 +142,6 @@ class FADEPolicy(CompactionPolicy):
             return self.d_th
         ttls = self.level_ttls(n)
         return sum(ttls[: level_number + 1])
-
-    def on_flush(self, tree: LSMTree, now: float) -> None:
-        """Recompute TTLs after every flush ("the cost of calculating d_i
-        is low, hence, FADE re-calculates d_i after every buffer flush")."""
-        height = max(1, tree.deepest_nonempty_level())
-        ttls = self.level_ttls(height)
-        self.cumulative_deadlines = [
-            sum(ttls[: i + 1]) for i in range(len(ttls))
-        ]
 
     def is_expired(
         self, run_file: RunFile, level_number: int, now: float, height: int
@@ -224,12 +213,11 @@ class FADEPolicy(CompactionPolicy):
         trigger = (
             self.config.level1_run_trigger if self.config.level1_tiered else 0
         )
+        mode = self.config.file_selection
         for level_number in saturated_levels(tree, trigger):
             level = tree.level(level_number)
             target = tree.ensure_level(level_number + 1)
-            if self.saturation_mode is FileSelectionMode.SD and (
-                level.tombstone_count() > 0
-            ):
+            if mode is FileSelectionMode.SD and level.tombstone_count() > 0:
                 chosen = pick_highest_b(level, self.estimator.estimate)
             else:
                 chosen = pick_min_overlap(level, target)
@@ -240,6 +228,6 @@ class FADEPolicy(CompactionPolicy):
                 source_files=[chosen],
                 target_level=level_number + 1,
                 trigger=CompactionTrigger.SATURATION,
-                description=f"saturation L{level_number} ({self.saturation_mode.value})",
+                description=f"saturation L{level_number} ({mode.value})",
             )
         return None

@@ -23,20 +23,6 @@ from dataclasses import dataclass, field, replace
 from repro.core.errors import ConfigError
 
 
-class MergePolicy(enum.Enum):
-    """LSM merge policy (§2 "Compaction Policies: Leveling and Tiering").
-
-    ``LAZY_LEVELING`` is the hybrid the paper cites from Dostoevsky
-    [Dayan & Idreos 2018]: tiering at every level except the last, which
-    stays leveled — write-cheap in the small levels, read-cheap where
-    most data lives.
-    """
-
-    LEVELING = "leveling"
-    TIERING = "tiering"
-    LAZY_LEVELING = "lazy_leveling"
-
-
 class CompactionTrigger(enum.Enum):
     """What may initiate a compaction (§4.1.4)."""
 
@@ -45,20 +31,21 @@ class CompactionTrigger(enum.Enum):
 
 
 class FileSelectionMode(enum.Enum):
-    """FADE file-selection modes (§4.1.4).
+    """FADE file selection for saturation-driven compactions (§4.1.4).
 
     * ``SO`` — saturation-driven trigger, overlap-driven selection: the
       state of the art, minimizes write amplification.
     * ``SD`` — saturation-driven trigger, delete-driven selection: picks the
       file with the highest estimated invalidation count ``b`` to minimize
       space amplification.
-    * ``DD`` — delete-driven trigger, delete-driven selection: picks a file
-      with an expired TTL to honour ``D_th``.
+
+    The paper's third combination, ``DD`` (delete-driven trigger and
+    selection: compact a file whose TTL expired, to honour ``D_th``), is
+    not a mode: FADE always checks expiry first, whichever mode is set.
     """
 
     SO = "so"
     SD = "sd"
-    DD = "dd"
 
 
 @dataclass(frozen=True)
@@ -81,8 +68,6 @@ class EngineConfig:
         Size of the sort key in bytes. Together with ``entry_size`` this
         fixes the tombstone-size ratio ``λ ≈ key/(key+value)`` from §3.2.1
         (Table 1: λ = 0.1 → key 102 bytes when E = 1024; default 102).
-    merge_policy:
-        Leveling or tiering.
     bits_per_key:
         Bloom filter budget in bits per key (evaluation setup: 10).
     delete_tile_pages:
@@ -91,7 +76,9 @@ class EngineConfig:
         ``D_th`` in simulated seconds; ``None`` disables FADE (pure
         state-of-the-art behaviour).
     file_selection:
-        FADE file-selection mode used for saturation-driven compactions.
+        FADE file-selection mode (``SO`` or ``SD``) used for
+        saturation-driven compactions. Expiry-driven (DD) compactions
+        run whenever ``D_th`` is set, whatever this mode.
     ingestion_rate:
         ``I``, unique entries ingested per second (Table 1: 1024); drives
         the simulated clock.
@@ -185,7 +172,6 @@ class EngineConfig:
     page_entries: int = 4
     entry_size: int = 1024
     key_size: int = 102
-    merge_policy: MergePolicy = MergePolicy.LEVELING
     bits_per_key: float = 10.0
     delete_tile_pages: int = 1
     delete_persistence_threshold: float | None = None
@@ -386,7 +372,7 @@ def lethe_config(
 ) -> EngineConfig:
     """Convenience constructor for a Lethe engine configuration.
 
-    Lethe = FADE (``D_th`` set, DD-capable triggers) + KiWi (``h``). The
+    Lethe = FADE (``D_th`` set, TTL-expiry triggers) + KiWi (``h``). The
     KiWi layout keeps one Bloom filter per page, so full page drops need
     no filter rebuild (§4.2.3); the classic layout keeps one per file.
     """

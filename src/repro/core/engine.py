@@ -25,16 +25,13 @@ from repro.compaction.base import CompactionPolicy, CompactionTask
 from repro.compaction.executor import CompactionExecutor
 from repro.compaction.fade import FADEPolicy, InvalidationEstimator
 from repro.compaction.full import full_tree_compaction
-from repro.compaction.lazy_leveling import LazyLevelingPolicy
 from repro.compaction.leveling import LeveledCompactionPolicy
 from repro.compaction.scheduler import CompactionScheduler, make_scheduler
 from repro.core import locks
-from repro.compaction.tiering import TieredCompactionPolicy
 from repro.core.clock import SimulatedClock
 from repro.core.config import (
     CompactionTrigger,
     EngineConfig,
-    MergePolicy,
     lethe_config,
     rocksdb_config,
 )
@@ -205,10 +202,6 @@ class LSMEngine:
                 total_entries=lambda: self.tree.total_entries,
             )
             return FADEPolicy(self.config, estimator)
-        if self.config.merge_policy is MergePolicy.TIERING:
-            return TieredCompactionPolicy(self.config)
-        if self.config.merge_policy is MergePolicy.LAZY_LEVELING:
-            return LazyLevelingPolicy(self.config)
         return LeveledCompactionPolicy(self.config)
 
     @classmethod
@@ -620,11 +613,7 @@ class LSMEngine:
             with self._commit_lock:
                 level1 = self.tree.ensure_level(1)
                 with self.tree.install():
-                    pure_leveling = (
-                        not self.config.level1_tiered
-                        and self.config.merge_policy is MergePolicy.LEVELING
-                    )
-                    if pure_leveling and level1.is_empty:
+                    if not self.config.level1_tiered and level1.is_empty:
                         level1.merge_into_single_run(files)
                     else:
                         # A tiered Level 1 keeps every flushed run. Under
@@ -649,7 +638,6 @@ class LSMEngine:
                     self.wal.enforce_persistence_threshold(
                         now, self.config.delete_persistence_threshold
                     )
-                self.policy.on_flush(self.tree, now)
         finally:
             self.buffer.end_flush()
         return True
@@ -691,11 +679,7 @@ class LSMEngine:
         chooses. Called under the commit lock so selection never sees a
         half-installed layout.
         """
-        if (
-            not self.config.level1_tiered
-            and self.config.merge_policy is MergePolicy.LEVELING
-            and self.tree.height >= 1
-        ):
+        if not self.config.level1_tiered and self.tree.height >= 1:
             level1 = self.tree.level(1)
             if level1.run_count > 1:
                 return CompactionTask(

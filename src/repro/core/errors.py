@@ -33,14 +33,6 @@ class PageFullError(StorageError):
     """Raised when appending an entry to a page that is at capacity."""
 
 
-class ImmutableFileError(StorageError):
-    """Raised when attempting to mutate a sealed (on-disk, immutable) file.
-
-    LSM runs are immutable once written; the only sanctioned mutation is the
-    KiWi *page drop*, which goes through a dedicated code path.
-    """
-
-
 class CompactionError(LetheError):
     """Raised when a compaction violates an LSM invariant.
 

@@ -185,10 +185,6 @@ class BloomFilter:
         """Keys inserted so far."""
         return self._count
 
-    @property
-    def size_bits(self) -> int:
-        return self.num_bits
-
     def expected_fpr(self) -> float:
         """Theoretical FPR at current load: ``(1 - e^{-kn/m})^k``.
 

@@ -188,10 +188,6 @@ class DeleteTile:
         return tuple(self._pages)
 
     @property
-    def delete_fences(self) -> DeleteFencePointers:
-        return self._delete_fences
-
-    @property
     def num_pages(self) -> int:
         return len(self._pages)
 

@@ -1,10 +1,12 @@
-"""A disk level: one sorted run (leveling) or up to T runs (tiering).
+"""A disk level: one sorted run, or several at a tiered Level 1.
 
-§2: "In leveling, each level may have at most one run ... With tiering,
-every level must accumulate T runs before they are sort-merged." A run is
-a list of files with disjoint sort-key ranges (§2 "Partial Compaction");
-runs within a tiered level may overlap each other and are ordered newest
-first for reads.
+§2: "In leveling, each level may have at most one run." The engine is
+leveled, but Level 1 may hold several runs: RocksDB's tiered Level 1
+(§4.3, ``level1_tiered``), or pure leveling's transient second run
+between a flush and the greedy merge that folds it in. A run is a list
+of files with disjoint sort-key ranges (§2 "Partial Compaction"); runs
+within a level may overlap each other and are ordered newest first for
+reads.
 
 File fence index
 ----------------
@@ -115,7 +117,7 @@ class Level:
     # ------------------------------------------------------------------
 
     def add_run(self, files: list[RunFile]) -> None:
-        """Install a new (most recent) run — tiering ingest path.
+        """Install a new (most recent) run — the Level-1 flush path.
 
         Like every mutator here, the run list is rebuilt and swapped in a
         single assignment: a reader that grabbed ``self.runs`` just

@@ -83,11 +83,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.core.config import (
-    EngineConfig,
-    FileSelectionMode,
-    MergePolicy,
-)
+from repro.core.config import EngineConfig, FileSelectionMode
 from repro.core import locks
 from repro.core.errors import PersistenceError
 from repro.lsm.wal import CommitPolicy, WALRecord, WALSegment
@@ -107,18 +103,16 @@ _WAL_MAGIC = b"LWAL1\n"
 _REC_ENTRY = 0
 _REC_RANGE_TOMBSTONE = 1
 
-_ENUM_FIELDS = {
-    "merge_policy": MergePolicy,
-    "file_selection": FileSelectionMode,
-}
+_ENUM_FIELDS = {"file_selection": FileSelectionMode}
 
 # Retired EngineConfig fields (nothing read the first two; the latency
 # pair only ever had its default, now constants of core/stats.py; the
-# tombstone-density selection switch was never turned on) that a
-# CONFIG.json written before their removal still carries.
+# tombstone-density selection switch was never turned on; leveling is
+# the one merge policy left) that a CONFIG.json written before their
+# removal still carries.
 _RETIRED_FIELDS = (
     "bloom_scope", "delete_key_size", "page_io_seconds", "hash_seconds",
-    "rocksdb_tombstone_density_selection",
+    "rocksdb_tombstone_density_selection", "merge_policy",
 )
 
 _META_FIELDS = (
@@ -220,11 +214,28 @@ def config_to_dict(config: EngineConfig) -> dict:
 
 
 def config_from_dict(payload: dict) -> EngineConfig:
-    """Inverse of :func:`config_to_dict`."""
+    """Inverse of :func:`config_to_dict`.
+
+    A store that ran a retired merge policy (tiering, lazy leveling) is
+    refused, since opening it as leveling would run a different tree; so
+    is a selection mode the engine no longer has, such as ``dd``.
+    """
+    merge_policy = payload.get("merge_policy", "leveling")
+    if merge_policy != "leveling":
+        raise PersistenceError(
+            f"the store's config sets merge_policy={merge_policy!r}; "
+            "only 'leveling' is supported"
+        )
     kwargs = {k: v for k, v in payload.items() if k not in _RETIRED_FIELDS}
     for name, enum_type in _ENUM_FIELDS.items():
         if name in kwargs:
-            kwargs[name] = enum_type(kwargs[name])
+            try:
+                kwargs[name] = enum_type(kwargs[name])
+            except ValueError:
+                raise PersistenceError(
+                    f"the store's config sets {name}={kwargs[name]!r}; "
+                    f"expected one of {[m.value for m in enum_type]}"
+                ) from None
     return EngineConfig(**kwargs)
 
 

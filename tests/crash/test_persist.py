@@ -165,10 +165,10 @@ def test_config_dict_round_trip():
 
 def test_store_written_before_the_retired_knobs_still_opens(tmp_path):
     """A CONFIG.json from before ``bloom_scope``, ``delete_key_size``,
-    ``page_io_seconds``, ``hash_seconds`` and
-    ``rocksdb_tombstone_density_selection`` left EngineConfig carries
-    those keys; exactly they are dropped on read, any other unknown key
-    is still an error."""
+    ``page_io_seconds``, ``hash_seconds``,
+    ``rocksdb_tombstone_density_selection`` and ``merge_policy`` left
+    EngineConfig carries those keys; exactly they are dropped on read,
+    any other unknown key is still an error."""
     config = rocksdb_config(**TINY)
     engine = LSMEngine.open(tmp_path / "db", config=config)
     engine.put(1, "v", delete_key=1)
@@ -182,6 +182,7 @@ def test_store_written_before_the_retired_knobs_still_opens(tmp_path):
         page_io_seconds=100e-6,
         hash_seconds=80e-9,
         rocksdb_tombstone_density_selection=False,
+        merge_policy="leveling",
     )
     config_path.write_text(json.dumps(payload), encoding="utf-8")
     reopened = LSMEngine.open(tmp_path / "db")
@@ -190,6 +191,30 @@ def test_store_written_before_the_retired_knobs_still_opens(tmp_path):
     reopened.close()
     with pytest.raises(TypeError):
         config_from_dict({**payload, "no_such_knob": 1})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("merge_policy", "tiering"),
+        ("merge_policy", "lazy_leveling"),
+        ("file_selection", "dd"),
+    ],
+)
+def test_a_config_naming_a_retired_policy_is_refused(tmp_path, field, value):
+    """A store that names a retired merge policy or selection mode is
+    refused, naming the field: opening a tiered store as leveling would
+    run a different tree than the one that wrote it, and ``dd`` is not
+    kept as a second spelling of ``sd``."""
+    engine = LSMEngine.open(tmp_path / "db", config=lethe_config(10.0, **TINY))
+    engine.put(1, "v", delete_key=1)
+    engine.close()
+    config_path = tmp_path / "db" / "CONFIG.json"
+    payload = json.loads(config_path.read_text(encoding="utf-8"))
+    payload[field] = value
+    config_path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(PersistenceError, match=field):
+        LSMEngine.open(tmp_path / "db")
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ from repro.compaction.base import (
 from repro.compaction.executor import CompactionExecutor
 from repro.compaction.full import full_tree_compaction
 from repro.compaction.leveling import LeveledCompactionPolicy
-from repro.compaction.tiering import TieredCompactionPolicy
-from repro.core.config import CompactionTrigger, MergePolicy, rocksdb_config
+from repro.core.config import CompactionTrigger, rocksdb_config
 from repro.core.stats import Statistics
 from repro.lsm.sstable import build_sstable
 from repro.lsm.tree import LSMTree
@@ -199,28 +198,6 @@ class TestLeveledPolicy:
         assert task is not None
         assert task.source_level == 1
         assert task.target_level == 2
-
-
-class TestTieredPolicy:
-    def test_merges_at_run_quota(self, world):
-        tree, config, disk, stats, _ = world
-        config = config.with_updates(merge_policy=MergePolicy.TIERING)
-        policy = TieredCompactionPolicy(config)
-        for i in range(config.size_ratio):
-            add_file(world, 1, range(0, 8), seq_start=i * 10, tiered=True)
-        task = policy.select(tree, now=0.0)
-        assert task is not None and task.whole_level
-        executor = CompactionExecutor(config, disk, stats)
-        executor.execute(tree, task, now=0.0)
-        # all runs consolidated; either in place (last level) or pushed
-        assert tree.level(1).run_count <= 1
-
-    def test_no_task_below_quota(self, world):
-        tree, config, *_ = world
-        config = config.with_updates(merge_policy=MergePolicy.TIERING)
-        policy = TieredCompactionPolicy(config)
-        add_file(world, 1, range(0, 8), tiered=True)
-        assert policy.select(tree, now=0.0) is None
 
 
 class TestFullTreeCompaction:

@@ -7,7 +7,6 @@ import pytest
 from repro.core.config import (
     EngineConfig,
     FileSelectionMode,
-    MergePolicy,
     lethe_config,
     rocksdb_config,
 )
@@ -127,7 +126,6 @@ class TestNamedConfigs:
         config = rocksdb_config()
         assert not config.fade_enabled
         assert not config.kiwi_enabled
-        assert config.merge_policy is MergePolicy.LEVELING
 
     def test_file_selection_modes_exist(self):
-        assert {m.value for m in FileSelectionMode} == {"so", "sd", "dd"}
+        assert {m.value for m in FileSelectionMode} == {"so", "sd"}

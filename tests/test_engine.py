@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.config import MergePolicy, lethe_config, rocksdb_config
+from repro.core.config import lethe_config, rocksdb_config
 from repro.core.engine import LSMEngine
 
 from tests.conftest import TINY
@@ -275,31 +275,6 @@ class TestWALIntegration:
             lethe_engine.put(key, "y")
         d_th = lethe_engine.config.delete_persistence_threshold
         assert lethe_engine.wal.oldest_segment_age(lethe_engine.clock.now) <= d_th
-
-
-class TestTieredEngine:
-    def test_tiered_round_trip(self):
-        engine = LSMEngine(
-            rocksdb_config(**{**TINY, "merge_policy": MergePolicy.TIERING})
-        )
-        for key in range(400):
-            engine.put(key, f"v{key}")
-        rng = random.Random(5)
-        for _ in range(40):
-            key = rng.randrange(400)
-            assert engine.get(key) == f"v{key}"
-
-    def test_tiered_deletes(self):
-        engine = LSMEngine(
-            rocksdb_config(**{**TINY, "merge_policy": MergePolicy.TIERING})
-        )
-        for key in range(200):
-            engine.put(key, f"v{key}")
-        for key in range(0, 200, 4):
-            engine.delete(key)
-        for key in range(200):
-            expected = None if key % 4 == 0 else f"v{key}"
-            assert engine.get(key) == expected
 
 
 class TestIngestDispatch:

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compaction.scheduler import CompactionScheduler
-from repro.core.config import MergePolicy, lethe_config, rocksdb_config
+from repro.core.config import lethe_config, rocksdb_config
 from repro.core.engine import LSMEngine
 
 from tests.conftest import TINY
@@ -83,15 +83,14 @@ def engine_flavours():
         ("baseline", lambda: LSMEngine(rocksdb_config(**TINY))),
         ("baseline-tieredL1", lambda: LSMEngine(
             rocksdb_config(level1_tiered=True, **TINY))),
-        ("tiered", lambda: LSMEngine(
-            rocksdb_config(**{**TINY, "merge_policy": MergePolicy.TIERING}))),
-        ("lazy-leveling", lambda: LSMEngine(
-            rocksdb_config(**{**TINY, "merge_policy": MergePolicy.LAZY_LEVELING}))),
         ("lethe", lambda: LSMEngine(
             lethe_config(delete_persistence_threshold=D_TH, **TINY))),
         ("lethe-kiwi", lambda: LSMEngine(
             lethe_config(delete_persistence_threshold=D_TH,
                          delete_tile_pages=4, **TINY))),
+        ("lethe-kiwi-tieredL1", lambda: LSMEngine(
+            lethe_config(D_TH, delete_tile_pages=4, level1_tiered=True,
+                         **TINY))),
     ]
 
 

@@ -88,13 +88,6 @@ class TestTTLAllocation:
         with pytest.raises(ConfigError):
             FADEPolicy(rocksdb_config(**TINY))
 
-    def test_on_flush_recomputes(self, world):
-        tree, config, disk, stats = world
-        policy = FADEPolicy(config)
-        add_file(world, 2, range(8))
-        policy.on_flush(tree, now=0.0)
-        assert len(policy.cumulative_deadlines) == 2
-
 
 class TestExpiry:
     def test_file_without_tombstones_never_expires(self, world):
@@ -191,10 +184,6 @@ class TestSelection:
                          kind=EntryKind.TOMBSTONE)
         task = policy.select(tree, now=0.0)
         assert task.source_files == [laden]
-
-    def test_dd_config_maps_to_sd_for_saturation(self):
-        policy, _ = fade_policy(mode=FileSelectionMode.DD)
-        assert policy.saturation_mode is FileSelectionMode.SD
 
     def test_nothing_to_do(self, world):
         tree, config, *_ = world

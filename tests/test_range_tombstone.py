@@ -248,17 +248,16 @@ class TestEngineShadowing:
         """A fragment newer than everything a file holds short-circuits
         the file's Bloom filter (the pre-Bloom ordering the docs pin).
 
-        Tiering keeps the covered runs alive next to the tombstone-
-        carrying run (leveling would merge them — and eagerly drop
-        everything — on the next flush), so the lookup path has files to
-        skip."""
-        from repro.core.config import MergePolicy
-
+        A tiered Level 1 keeps the covered runs alive next to the
+        tombstone-carrying run (pure leveling would merge them — and
+        eagerly drop everything — on the next flush), so the lookup path
+        has files to skip."""
         engine = LSMEngine(
             lethe_config(
                 delete_persistence_threshold=0.5,
                 delete_tile_pages=4,
-                **{**TINY, "merge_policy": MergePolicy.TIERING},
+                level1_tiered=True,
+                **TINY,
             )
         )
         for key in range(32):

@@ -15,6 +15,12 @@ MurmurHash digest** (~80 ns) — three orders of magnitude cheaper than a
 exactly that: each key probed or inserted costs *one* hash computation
 (counted into :class:`~repro.core.stats.Statistics`), and the ``k`` bit
 positions derive from the digest by double hashing.
+
+Building filters digests each entry once in its life: the digest is
+cached on the ``Entry`` (:func:`entry_digests`), and every rewrite of the
+entry by compaction builds its new filters from that cached digest.
+Probes stay charged one hash per filter touched, as in the §4.2.4 model,
+however many filters share one lookup's digest.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from functools import lru_cache
 from typing import Any, Iterable
 
 from repro.core.stats import Statistics
+from repro.storage.entry import Entry
 
 _MASK64 = (1 << 64) - 1
 
@@ -73,6 +80,71 @@ def digest_pair(key: Any) -> tuple[int, int]:
     digest = key_digest(key)
     # h2 is odd so the probes cycle through the whole array.
     return digest & 0xFFFFFFFF, (digest >> 32) | 1
+
+
+def entry_digests(entries: Iterable[Entry]) -> list[tuple[int, int]]:
+    """The :func:`digest_pair` of each entry's key, computed once per entry.
+
+    The pair is cached in the entry's ``_digest`` slot the first time a
+    filter is built over it. Compaction hands the same ``Entry`` objects
+    from its inputs to its outputs, so an entry rewritten ``write_amp``
+    times is still digested once. Two background workers building
+    filters over the same entry may both fill the slot; they write the
+    same value, so the race is benign.
+    """
+    pairs = []
+    append = pairs.append
+    for entry in entries:
+        pair = entry._digest
+        if pair is None:
+            pair = digest_pair(entry.key)
+            object.__setattr__(entry, "_digest", pair)
+        append(pair)
+    return pairs
+
+
+def _set_probe_bits(
+    bits: bytearray, num_bits: int, num_hashes: int, pairs: list[tuple[int, int]]
+) -> None:
+    """Set each pair's ``k`` bits ``(h1 + i · h2) mod m``, one probe at a time."""
+    probes = range(num_hashes)
+    for h1, h2 in pairs:
+        for _ in probes:
+            position = h1 % num_bits
+            bits[position >> 3] |= 1 << (position & 7)
+            h1 += h2
+
+
+# A filter of at most this many bits is built from probe patterns. A
+# pattern table holds at most ``m`` patterns of ``2m`` bits, so with the
+# cache below the tables never exceed 16 · 2048 · 4096 bits (16 MiB);
+# page filters (``m`` = 10..80) need a few kilobytes, and a 128-key
+# file filter (``m`` = 1280) about half a megabyte once full.
+_TABLE_MAX_BITS = 2048
+
+
+def _probe_pattern(num_bits: int, num_hashes: int, step: int) -> int:
+    """Bits ``i · step mod m`` for ``i < k``, doubled (``p | p << m``) so
+    that ``pattern >> (m - r)`` holds the pattern rotated left by ``r`` in
+    its low ``m`` bits."""
+    pattern = 0
+    for i in range(num_hashes):
+        pattern |= 1 << (i * step % num_bits)
+    return pattern | pattern << num_bits
+
+
+@lru_cache(maxsize=16)
+def _probe_patterns(num_bits: int, num_hashes: int) -> list[int | None]:
+    """The probe pattern of every ``h2 mod m``, filled on first use.
+
+    A key's bits are its pattern rotated by ``h1 mod m``, since
+    ``(h1 + i · h2) mod m = (h1 mod m + i · (h2 mod m)) mod m``. Filling
+    lazily keeps a table no larger than the steps actually seen, and a
+    filter size seen only a few times costs about what the probe loop
+    does. Two threads may fill one slot at once; both store the same
+    pattern.
+    """
+    return [None] * num_bits
 
 
 @lru_cache(maxsize=64)
@@ -161,20 +233,11 @@ class BloomFilter:
 
     def update(self, keys: Iterable[Any]) -> None:
         """Bulk insert (one hash computation charged per key)."""
-        bits = self._bits
-        num_bits = self.num_bits
-        probes = range(self.num_hashes)
-        added = 0
-        for key in keys:
-            h1, h2 = digest_pair(key)
-            for _ in probes:
-                position = h1 % num_bits
-                bits[position >> 3] |= 1 << (position & 7)
-                h1 += h2
-            added += 1
-        self._count += added
+        pairs = list(map(digest_pair, keys))
+        _set_probe_bits(self._bits, self.num_bits, self.num_hashes, pairs)
+        self._count += len(pairs)
         if self.stats is not None:
-            self.stats.bloom_hash_computations += added
+            self.stats.bloom_hash_computations += len(pairs)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -207,43 +270,57 @@ class BloomFilter:
         stats: Statistics | None = None,
         expected_entries: int | None = None,
     ) -> "BloomFilter":
-        """Build a filter sized for (and filled with) ``keys``.
+        """Build a filter over bare keys: :meth:`from_digests` of their
+        :func:`digest_pair`. Run builders hold entries and use
+        :func:`entry_digests` instead, which digests each entry once."""
+        return cls.from_digests(
+            list(map(digest_pair, keys)), bits_per_key, stats, expected_entries
+        )
 
-        The one bulk build path (compaction output, flushes, recovery,
-        partial page rewrites), in one pass over the keys. With ``h1`` and
-        ``h2`` reduced modulo ``m``, a key's unreduced probe offsets
-        ``h1 + i · h2`` (``i < k``) all lie below ``k · m``; their bits
-        form a geometric series, ``(2^(k·h2) - 1) / (2^h2 - 1)`` shifted
-        by ``h1``, ORed into one wide integer per filter. Folding that
-        integer onto ``m`` bits reduces every offset modulo ``m``: the
-        bits are exactly those :meth:`update` sets one probe at a time.
+    @classmethod
+    def from_digests(
+        cls,
+        pairs: list[tuple[int, int]],
+        bits_per_key: float = 10.0,
+        stats: Statistics | None = None,
+        expected_entries: int | None = None,
+    ) -> "BloomFilter":
+        """Build a filter sized for (and filled with) keys given by their
+        :func:`digest_pair`.
+
+        The one bulk build path: compaction output, flushes, recovery and
+        partial page rewrites all come here, with digests the entries
+        already carry (:func:`entry_digests`). Up to
+        :data:`_TABLE_MAX_BITS` bits, a key's ``k`` probe bits are one
+        lookup in :func:`_probe_patterns` (the pattern of its ``h2``,
+        rotated by its ``h1``), ORed into one integer per filter. Above
+        that, the bits are set one probe at a time. Either way the bytes
+        equal what :meth:`update` sets.
 
         Construction-time inserts are *not* charged to ``stats``: building
         a file's filters happens during compaction, whose cost the paper
         accounts as I/O, not query-path hashing. The live filter charges
         normally afterwards.
         """
-        key_list = list(keys)
-        size = expected_entries if expected_entries is not None else len(key_list)
+        size = expected_entries if expected_entries is not None else len(pairs)
         bf = cls(max(size, 1), bits_per_key, stats=stats)
         num_bits = bf.num_bits
-        num_hashes = bf.num_hashes
-        wide = 0
-        for key in key_list:
-            h1, h2 = digest_pair(key)
-            h1 %= num_bits
-            h2 %= num_bits
-            if h2:
-                wide |= ((1 << num_hashes * h2) - 1) // ((1 << h2) - 1) << h1
-            else:
-                wide |= 1 << h1  # every probe lands on h1
-        bits = 0
-        low_bits = (1 << num_bits) - 1
-        while wide:
-            bits |= wide & low_bits
-            wide >>= num_bits
-        bf._bits = bytearray(bits.to_bytes(len(bf._bits), "little"))
-        bf._count = len(key_list)
+        if num_bits <= _TABLE_MAX_BITS:
+            patterns = _probe_patterns(num_bits, bf.num_hashes)
+            bits = 0
+            for h1, h2 in pairs:
+                step = h2 % num_bits
+                pattern = patterns[step]
+                if pattern is None:
+                    pattern = patterns[step] = _probe_pattern(
+                        num_bits, bf.num_hashes, step
+                    )
+                bits |= pattern >> (num_bits - h1 % num_bits)
+            bits &= (1 << num_bits) - 1
+            bf._bits = bytearray(bits.to_bytes(len(bf._bits), "little"))
+        else:
+            _set_probe_bits(bf._bits, num_bits, bf.num_hashes, pairs)
+        bf._count = len(pairs)
         return bf
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -11,6 +11,7 @@ pointers on ``D`` per page, and Bloom filters per page.
 from __future__ import annotations
 
 from itertools import chain
+from operator import attrgetter
 from typing import Any
 
 from repro.core.config import EngineConfig
@@ -21,6 +22,8 @@ from repro.lsm.range_tombstone import fragment
 from repro.lsm.runfile import FileMeta, LookupResult, RunFile, meta_for
 from repro.storage.disk import SimulatedDisk
 from repro.storage.entry import Entry, RangeTombstone
+
+_KEY = attrgetter("key")
 
 
 class KiWiFile(RunFile):
@@ -136,7 +139,9 @@ class KiWiFile(RunFile):
             if tile.is_empty or tile.max_key < lo or tile.min_key > hi:
                 continue
             result.extend(tile.scan(lo, hi, self._disk, charge_io=charge_io))
-        result.sort(key=lambda e: e.sort_token())
+        # Keys are unique within a file, so the key alone gives the
+        # ``sort_token`` order.
+        result.sort(key=_KEY)
         return result
 
     def secondary_scan(

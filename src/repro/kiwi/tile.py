@@ -25,7 +25,7 @@ from typing import Any
 
 from repro.core.errors import KeyWeavingError
 from repro.core.stats import Statistics
-from repro.filters.bloom import BloomFilter
+from repro.filters.bloom import BloomFilter, entry_digests
 from repro.filters.fence import DeleteFencePointers
 from repro.storage.disk import SimulatedDisk
 from repro.storage.entry import Entry
@@ -150,8 +150,8 @@ class DeleteTile:
 
     def _filter(self, page: Page) -> BloomFilter:
         """The page's own Bloom filter (§4.2.3)."""
-        return BloomFilter.from_keys(
-            map(_KEY, page), self._bits_per_key, stats=self._stats
+        return BloomFilter.from_digests(
+            entry_digests(page), self._bits_per_key, stats=self._stats
         )
 
     def _reindex(self) -> None:

@@ -9,12 +9,11 @@ evaluation uses, and the layout KiWi degenerates to at ``h = 1``.
 from __future__ import annotations
 
 from itertools import chain
-from operator import attrgetter
 from typing import Any
 
 from repro.core.config import EngineConfig
 from repro.core.stats import Statistics
-from repro.filters.bloom import BloomFilter
+from repro.filters.bloom import BloomFilter, entry_digests
 from repro.filters.fence import FencePointers
 from repro.lsm.range_tombstone import fragment
 from repro.lsm.runfile import FileMeta, LookupResult, RunFile, meta_for
@@ -47,10 +46,8 @@ class SSTable(RunFile):
         # builder already fragmented) so the read path can bisect.
         self.range_tombstones = tuple(fragment(range_tombstones))
         self.meta = meta
-        self._bloom = BloomFilter.from_keys(
-            map(attrgetter("key"), chain.from_iterable(pages)),
-            bits_per_key,
-            stats=stats,
+        self._bloom = BloomFilter.from_digests(
+            entry_digests(chain.from_iterable(pages)), bits_per_key, stats=stats
         )
         self._fences = FencePointers([p.min_key for p in pages])
         self._disk = disk

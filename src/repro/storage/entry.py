@@ -19,7 +19,7 @@ a higher seqnum supersedes any entry with the same key and a lower seqnum.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 
@@ -30,7 +30,7 @@ class EntryKind(enum.Enum):
     TOMBSTONE = "tombstone"
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, slots=True)
 class Entry:
     """One record of the LSM-tree: a put or a point tombstone.
 
@@ -56,6 +56,14 @@ class Entry:
         Simulated time the record entered the memory buffer. For
         tombstones this is what FADE's ``amax`` (age of the oldest
         tombstone in a file) is computed from (§4.1.3).
+
+    The record is immutable, but it also carries one private slot,
+    ``_digest``: the key's Bloom digest pair, which
+    :func:`repro.filters.bloom.entry_digests` fills the first time a
+    filter is built over the entry. Compaction rebuilds pages, tiles and
+    filters but hands the same ``Entry`` objects on, so a key is digested
+    once per entry rather than once per rewrite. The slot takes no part
+    in equality, hashing, ``repr`` or construction.
     """
 
     key: Any
@@ -65,6 +73,9 @@ class Entry:
     delete_key: Any = None
     size: int = 1
     write_time: float = 0.0
+    _digest: tuple[int, int] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.seqnum < 0:

@@ -1,16 +1,12 @@
-"""Compaction scheduling: take FADE's merge work off the write path.
+"""Compaction scheduling: when FADE's merges run, inline or off the write path.
 
-Until this module existed, every compaction executed *inline* in the
-write path — :meth:`LSMEngine.flush` ran the policy's task queue to
-convergence before acknowledging, so a single buffer flush could stall
-ingest for an entire merge cascade. A :class:`CompactionScheduler` makes
-"when compactions run" its own subsystem, a strategy object with two
-implementations:
+A :class:`CompactionScheduler` decides *when* an engine's compactions
+execute; *how* one runs is always :meth:`LSMEngine.run_one_compaction`.
+Two implementations:
 
-* :class:`SerialScheduler` (the default) preserves the original
-  semantics exactly: a notification drains the engine's pending tasks
-  inline, deterministically, on the calling thread. Every pre-existing
-  test, crash enumeration, and experiment runs unchanged under it.
+* :class:`SerialScheduler` (the default): a notification drains the
+  engine's pending tasks inline, deterministically, on the calling
+  thread, so a flush returns with the tree converged.
 * :class:`BackgroundScheduler` owns a FADE-priority queue of engines
   with pending work and a pool of worker threads — selection happens at
   dequeue time (never against a stale tree), the merge runs off the
@@ -30,20 +26,13 @@ worker ranks all queued engines just before picking one), so a
 long-queued engine whose deadline overshoot grew while it waited is
 never dispatched behind a merely-full one.
 
-Backpressure: a background engine whose Level 1 accumulates more pending
-runs than ``EngineConfig.slowdown_l1_runs`` has its writers slowed
-(one short sleep per operation), and past ``stall_l1_runs`` writers
-hard-stall until a worker catches up — the classic RocksDB
-slowdown/stop pair, surfaced in :class:`~repro.core.stats.Statistics`
-(``write_slowdowns``/``write_stalls``/``stall_seconds``). Both
-thresholds are *adaptive*: the scheduler samples each engine's Level-1
-run backlog at every task completion, and when the smoothed
-completion-time backlog sits well below the configured slowdown
-threshold — each drain returns the level to a low watermark — both
-thresholds scale up proportionally (to ``adaptive_stall_cap`` times the
-configured base), so a fast-draining engine never stalls writers early.
-An engine with no completed tasks, or whose completions leave the
-backlog at the threshold, keeps the configured base.
+Backpressure: one hard stall. Once a background engine's Level 1 holds
+``EngineConfig.stall_l1_runs`` pending runs, each writer blocks until a
+worker brings the backlog below it (RocksDB's
+``level0_stop_writes_trigger``), which bounds Level 1's memory and the
+runs a lookup may probe. Stalls are counted in
+:class:`~repro.core.stats.Statistics` (``write_stalls``/
+``stall_seconds``).
 
 Determinism contract
 --------------------
@@ -143,16 +132,6 @@ class CompactionScheduler(ABC):
     def throttle(self, engine: Any) -> None:
         """Write-path backpressure hook (no-op for inline scheduling)."""
 
-    def effective_thresholds(self, engine: Any) -> tuple[int, int]:
-        """The (slowdown, stall) L1-run thresholds currently applied.
-
-        The configured base values by default; the background scheduler
-        scales them by the engine's measured drain rate (see
-        :class:`_DrainRate`). Exposed so the engine's sampler can report
-        the live backpressure policy.
-        """
-        return engine.config.slowdown_l1_runs, engine.config.stall_l1_runs
-
     def after_maintenance(self, engine: Any) -> None:
         """Hook after an exclusive maintenance section releases its lock."""
 
@@ -179,60 +158,10 @@ class SerialScheduler(CompactionScheduler):
         engine.run_pending_compactions()
 
 
-class _DrainRate:
-    """EWMA of one engine's Level-1 backlog at task completions.
-
-    The adaptive-stall signal. Comparing flush-arrival gaps against
-    task-completion gaps cannot work here: one compaction consumes a
-    whole batch of flushed runs, so completions are structurally rarer
-    than arrivals even when the drain keeps up perfectly. The quantity
-    the stall policy thresholds — and therefore the right thing to
-    measure — is the backlog itself, and the meaningful moment to read
-    it is *right after a task completes*: a drain that keeps up with
-    ingest returns Level 1 to a low watermark at every completion,
-    while one falling behind leaves ever more runs pending each time.
-    Each completed task samples ``_pending_l1_runs()`` into one EWMA
-    (sampling at arrivals instead would read the transient spike every
-    long merge produces and withdraw the headroom exactly when the
-    writer needs it); :meth:`factor` turns the headroom below the
-    configured slowdown threshold into the multiplier.
-
-    Updates are single-field float stores from worker threads: a torn
-    read is advisory-only and self-corrects at the next sample.
-    """
-
-    __slots__ = ("backlog",)
-
-    ALPHA = 0.3  # EWMA smoothing: ~3-4 samples to converge
-
-    def __init__(self):
-        self.backlog: float | None = None
-
-    def note_drain(self, pending: int) -> None:
-        if self.backlog is None:
-            self.backlog = float(pending)
-        else:
-            self.backlog += self.ALPHA * (pending - self.backlog)
-
-    def factor(self, cap: float, threshold: int) -> float:
-        """Threshold multiplier in ``[1, cap]``.
-
-        ``threshold / backlog`` — a completion-time backlog sitting at
-        half the configured slowdown threshold doubles both thresholds,
-        and so on up to ``cap``. With no completed task yet (a wedged or
-        saturated worker pool must never relax backpressure) or a
-        backlog at or above the threshold, the factor is 1.0 and the
-        configured base applies.
-        """
-        if self.backlog is None or threshold <= 0:
-            return 1.0
-        return min(cap, max(1.0, threshold / max(self.backlog, 0.5)))
-
-
 class _EngineSlot:
     """Scheduler-side state for one registered engine."""
 
-    __slots__ = ("engine", "queued", "retired", "error", "seq", "drain_rate")
+    __slots__ = ("engine", "queued", "retired", "error", "seq")
 
     def __init__(self, engine: Any):
         self.engine = engine
@@ -240,7 +169,6 @@ class _EngineSlot:
         self.retired = False
         self.error: BaseException | None = None
         self.seq = 0  # FIFO tie-break among equal dequeue priorities
-        self.drain_rate = _DrainRate()
 
 
 class BackgroundScheduler(CompactionScheduler):
@@ -358,12 +286,8 @@ class BackgroundScheduler(CompactionScheduler):
         self._reraise(slot)
         if self.deterministic_commits:
             return  # every barrier drained; Level 1 cannot back up
-        config = engine.config
-        slow_at, stall_at = self.effective_thresholds(engine)
-        if stall_at <= 0 and slow_at <= 0:
-            return
-        pending = engine._pending_l1_runs()
-        if stall_at > 0 and pending >= stall_at:
+        stall_at = engine.config.stall_l1_runs
+        if stall_at and (pending := engine._pending_l1_runs()) >= stall_at:
             # lint: allow(deterministic-clock) — stall_seconds reports
             # how long the writer *really* blocked; simulated time does
             # not advance while a thread waits on the cv.
@@ -395,45 +319,6 @@ class BackgroundScheduler(CompactionScheduler):
                 write_stalls=1, stall_seconds=time.perf_counter() - started
             )
             self._reraise(slot)
-        elif slow_at > 0 and pending >= slow_at:
-            engine.stats.add(write_slowdowns=1)
-            with engine.obs.tracer.span("write-slowdown", l1_runs=pending):
-                with self._cv:
-                    self._enqueue_locked(slot)
-                # Proportional delay (RocksDB-style): the full configured
-                # sleep applies only at the brink of the hard stall; a
-                # backlog hovering just past the slowdown threshold — a
-                # drain that is keeping up — costs a sliver of it. The
-                # write path therefore decelerates smoothly toward the
-                # stall point instead of paying a flat tax the moment
-                # the first threshold is crossed.
-                span_runs = max(stall_at - slow_at, 1)
-                depth = min(1.0, (pending - slow_at + 1) / span_runs)
-                time.sleep(config.write_slowdown_seconds * depth)
-
-    def effective_thresholds(self, engine: Any) -> tuple[int, int]:
-        """Adaptive (slowdown, stall) thresholds for ``engine``.
-
-        The configured values are the floor; an engine whose measured
-        Level-1 backlog stays below the slowdown threshold — the drain
-        is keeping up — gets both scaled by the drain-rate factor
-        (capped by ``EngineConfig.adaptive_stall_cap``). Deterministic
-        mode drains at every barrier, so the question never arises
-        there.
-        """
-        config = engine.config
-        slow_at, stall_at = config.slowdown_l1_runs, config.stall_l1_runs
-        cap = config.adaptive_stall_cap
-        slot = self._slot(engine)
-        if slot is None or cap <= 1.0 or self.deterministic_commits:
-            return slow_at, stall_at
-        factor = slot.drain_rate.factor(
-            cap, slow_at if slow_at > 0 else stall_at
-        )
-        return (
-            int(slow_at * factor) if slow_at > 0 else slow_at,
-            int(stall_at * factor) if stall_at > 0 else stall_at,
-        )
 
     def drain(self) -> None:
         """Barrier: wait until the queue is empty and all workers idle."""
@@ -548,7 +433,6 @@ class BackgroundScheduler(CompactionScheduler):
                 progressed = slot.engine.run_one_compaction()
                 if progressed:
                     slot.engine.stats.add(background_compactions=1)
-                    slot.drain_rate.note_drain(slot.engine._pending_l1_runs())
             except BaseException as exc:  # noqa: BLE001 - surfaced to writers
                 with self._cv:
                     slot.error = exc

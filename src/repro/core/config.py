@@ -130,31 +130,15 @@ class EngineConfig:
         renames — so "committed" means on-media, not in the OS page
         cache. Crash-test suites disable it for speed: the simulated
         crash model kills between writes, never inside the kernel.
-    slowdown_l1_runs:
-        Write-stall policy, soft threshold (only consulted under a
-        background :class:`~repro.compaction.scheduler.
-        BackgroundScheduler`): once Level 1 holds this many pending
-        runs, every write pays ``write_slowdown_seconds`` of delay so
-        compaction can catch up (RocksDB's ``level0_slowdown_writes_
-        trigger``). 0 disables the slowdown.
     stall_l1_runs:
-        Write-stall policy, hard threshold: at this many pending Level-1
-        runs, writes block until a background worker brings the backlog
-        below it (RocksDB's ``level0_stop_writes_trigger``). Counted in
+        Write stall (only consulted under a background
+        :class:`~repro.compaction.scheduler.BackgroundScheduler`): at
+        this many pending Level-1 runs, writes block until a background
+        worker brings the backlog below it (RocksDB's
+        ``level0_stop_writes_trigger``), bounding Level 1's memory and
+        the runs a lookup may probe. Counted in
         ``Statistics.write_stalls``/``stall_seconds``. 0 disables the
-        hard stall.
-    write_slowdown_seconds:
-        Real (wall-clock) delay per write while in the slowdown band.
-    adaptive_stall_cap:
-        Upper bound on the adaptive scaling of the two write-stall
-        thresholds. The background scheduler samples each engine's
-        Level-1 run backlog whenever one of its compactions completes
-        and keeps an EWMA of those samples; an engine whose smoothed
-        completion-time backlog sits below ``slowdown_l1_runs`` has
-        both thresholds multiplied by ``slowdown_l1_runs / backlog``,
-        up to this factor, so a drain that keeps up is not stalled on
-        the static floor. 1.0 (or less) disables adaptation and the
-        configured thresholds apply verbatim.
+        stall.
     observability:
         Turn on the :mod:`repro.obs` instrumentation layer: per-op
         write/read latency histograms, span tracing of flushes,
@@ -187,10 +171,7 @@ class EngineConfig:
     cache_pages: int = 0
     wal_commit_policy: str = "every_op"
     fsync: bool = True
-    slowdown_l1_runs: int = 8
     stall_l1_runs: int = 16
-    write_slowdown_seconds: float = 0.001
-    adaptive_stall_cap: float = 4.0
     observability: bool = False
     obs_sample_interval_ms: float = 25.0
 
@@ -238,26 +219,9 @@ class EngineConfig:
             )
         if self.cache_pages < 0:
             raise ConfigError(f"cache_pages must be >= 0, got {self.cache_pages}")
-        if self.slowdown_l1_runs < 0 or self.stall_l1_runs < 0:
-            raise ConfigError("write-stall thresholds must be >= 0")
-        if (
-            self.slowdown_l1_runs > 0
-            and self.stall_l1_runs > 0
-            and self.stall_l1_runs < self.slowdown_l1_runs
-        ):
+        if self.stall_l1_runs < 0:
             raise ConfigError(
-                "stall_l1_runs must be >= slowdown_l1_runs "
-                f"(got {self.stall_l1_runs} < {self.slowdown_l1_runs})"
-            )
-        if self.write_slowdown_seconds < 0:
-            raise ConfigError(
-                f"write_slowdown_seconds must be >= 0, "
-                f"got {self.write_slowdown_seconds}"
-            )
-        if self.adaptive_stall_cap < 0:
-            raise ConfigError(
-                f"adaptive_stall_cap must be >= 0, "
-                f"got {self.adaptive_stall_cap}"
+                f"stall_l1_runs must be >= 0, got {self.stall_l1_runs}"
             )
         if self.obs_sample_interval_ms < 0:
             raise ConfigError(

@@ -564,8 +564,8 @@ class LSMEngine:
         to convergence inline — the original write-path semantics. Under
         a background scheduler the flush returns as soon as the buffer
         is installed; workers converge the tree off the write path and
-        the throttle hook (``slowdown_l1_runs``/``stall_l1_runs``)
-        bounds how far Level 1 may back up.
+        the throttle hook's hard stall at ``stall_l1_runs`` bounds how
+        far Level 1 may back up.
         """
         if self.flush_buffer():
             self.scheduler.notify(self)
@@ -977,7 +977,6 @@ class LSMEngine:
             "l1_pending_runs": self._pending_l1_runs(),
             "buffer_fill": len(self.buffer) / max(1, self.buffer.capacity_entries),
             "entries_ingested": stats.entries_ingested,
-            "write_slowdowns": stats.write_slowdowns,
             "write_stalls": stats.write_stalls,
             "stall_seconds": stats.stall_seconds,
             "cache_hit_rate": (
@@ -985,11 +984,6 @@ class LSMEngine:
             ),
             "wal_live_records": self.wal.live_records,
             "background_compactions": stats.background_compactions,
-            # The adaptive backpressure the scheduler currently applies
-            # to this engine (== the config values under serial mode).
-            "effective_stall_l1_runs": self.scheduler.effective_thresholds(
-                self
-            )[1],
         }
 
     def space_amplification(self) -> float:

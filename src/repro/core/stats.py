@@ -133,7 +133,6 @@ class Statistics:
 
     # --- background compaction scheduling -------------------------------
     background_compactions: int = 0
-    write_slowdowns: int = 0
     write_stalls: int = 0
     stall_seconds: float = 0.0
 

@@ -108,11 +108,13 @@ _ENUM_FIELDS = {"file_selection": FileSelectionMode}
 # Retired EngineConfig fields (nothing read the first two; the latency
 # pair only ever had its default, now constants of core/stats.py; the
 # tombstone-density selection switch was never turned on; leveling is
-# the one merge policy left) that a CONFIG.json written before their
-# removal still carries.
+# the one merge policy left; the hard stall is the one backpressure
+# mechanism left) that a CONFIG.json written before their removal still
+# carries.
 _RETIRED_FIELDS = (
     "bloom_scope", "delete_key_size", "page_io_seconds", "hash_seconds",
     "rocksdb_tombstone_density_selection", "merge_policy",
+    "slowdown_l1_runs", "write_slowdown_seconds", "adaptive_stall_cap",
 )
 
 _META_FIELDS = (

@@ -166,9 +166,11 @@ def test_config_dict_round_trip():
 def test_store_written_before_the_retired_knobs_still_opens(tmp_path):
     """A CONFIG.json from before ``bloom_scope``, ``delete_key_size``,
     ``page_io_seconds``, ``hash_seconds``,
-    ``rocksdb_tombstone_density_selection`` and ``merge_policy`` left
-    EngineConfig carries those keys; exactly they are dropped on read,
-    any other unknown key is still an error."""
+    ``rocksdb_tombstone_density_selection``, ``merge_policy``,
+    ``slowdown_l1_runs``, ``write_slowdown_seconds`` and
+    ``adaptive_stall_cap`` left EngineConfig carries those keys, with
+    whatever values the store was written with; exactly they are
+    dropped on read, any other unknown key is still an error."""
     config = rocksdb_config(**TINY)
     engine = LSMEngine.open(tmp_path / "db", config=config)
     engine.put(1, "v", delete_key=1)
@@ -183,6 +185,9 @@ def test_store_written_before_the_retired_knobs_still_opens(tmp_path):
         hash_seconds=80e-9,
         rocksdb_tombstone_density_selection=False,
         merge_policy="leveling",
+        slowdown_l1_runs=3,
+        write_slowdown_seconds=0.25,
+        adaptive_stall_cap=1.0,
     )
     config_path.write_text(json.dumps(payload), encoding="utf-8")
     reopened = LSMEngine.open(tmp_path / "db")

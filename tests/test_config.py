@@ -1,6 +1,7 @@
 """Unit tests for EngineConfig, including Table 1 reference values."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -30,6 +31,7 @@ class TestValidation:
             ("file_pages", 0),
             ("delete_persistence_threshold", 0.0),
             ("ingestion_rate", 0.0),
+            ("stall_l1_runs", -1),
         ],
     )
     def test_rejects_bad_values(self, field, value):
@@ -44,6 +46,28 @@ class TestValidation:
         with pytest.raises(ConfigError):
             EngineConfig(file_pages=10, delete_tile_pages=3)
         EngineConfig(file_pages=12, delete_tile_pages=3)  # fine
+
+
+# The complete set of knobs. Adding or removing one is a deliberate,
+# reviewed edit of this list (a stored CONFIG.json carries every field;
+# a removed one also goes to storage.persist._RETIRED_FIELDS).
+KNOBS = {
+    "size_ratio", "buffer_pages", "page_entries", "entry_size", "key_size",
+    "bits_per_key", "delete_tile_pages", "delete_persistence_threshold",
+    "file_selection", "ingestion_rate", "file_pages", "real_io_seconds",
+    "avoid_blind_deletes", "level1_tiered", "level1_run_trigger",
+    "force_kiwi_layout", "fade_ttl_from_level_arrival", "cache_pages",
+    "wal_commit_policy", "fsync", "stall_l1_runs", "observability",
+    "obs_sample_interval_ms",
+}
+
+
+def test_engine_config_knobs_are_pinned():
+    names = {f.name for f in fields(EngineConfig)}
+    assert len(KNOBS) == 23
+    assert names == KNOBS, (
+        f"added: {sorted(names - KNOBS)}, removed: {sorted(KNOBS - names)}"
+    )
 
 
 class TestTable1ReferenceValues:

@@ -2,8 +2,9 @@
 
 Covers the scheduler strategy objects themselves (resolution, priority
 ordering, error propagation), the serial/background equivalence contract
-(identical logical tree state after drain), the write-stall policy
-(slowdown and hard-stall counters), and a reader/writer stress test
+(identical logical tree state after drain), the hard write stall (its
+counters and each of its exits: backlog drained, worker error,
+scheduler closed, scheduler idle), and a reader/writer stress test
 asserting snapshot-consistent reads while background merges install.
 """
 
@@ -220,47 +221,6 @@ def test_priority_is_rescored_at_dequeue_not_enqueue():
         scheduler.close()
 
 
-def test_adaptive_thresholds_scale_with_drain_rate():
-    """An engine whose measured Level-1 backlog stays well below the
-    slowdown threshold (the drain keeps up) gets its stall thresholds
-    lifted (capped); one with no completed task — or riding at the
-    threshold — keeps the configured floor."""
-    scheduler = BackgroundScheduler(workers=1)
-    try:
-        engine = make_engine(
-            scheduler=scheduler, slowdown_l1_runs=4, stall_l1_runs=8,
-            adaptive_stall_cap=3.0,
-        )
-        slot = scheduler._slot(engine)
-        # No completed task yet: for all the scheduler knows the worker
-        # pool is wedged, so the configured base applies.
-        assert scheduler.effective_thresholds(engine) == (4, 8)
-        # Completions holding the smoothed backlog near one run: the
-        # drain keeps up, headroom 4/1 exceeds the cap, the cap wins.
-        for _ in range(8):
-            slot.drain_rate.note_drain(1)
-        assert scheduler.effective_thresholds(engine) == (12, 24)
-        # The inverse — completions leaving the backlog at/above the
-        # slowdown threshold — never drops below the configured floor.
-        slow = make_engine(slowdown_l1_runs=4, stall_l1_runs=8)
-        scheduler.register(slow)
-        slow_slot = scheduler._slot(slow)
-        for _ in range(8):
-            slow_slot.drain_rate.note_drain(5)
-        assert scheduler.effective_thresholds(slow) == (4, 8)
-        # adaptive_stall_cap <= 1 disables adaptation outright.
-        fixed = make_engine(
-            slowdown_l1_runs=4, stall_l1_runs=8, adaptive_stall_cap=1.0
-        )
-        scheduler.register(fixed)
-        fixed_slot = scheduler._slot(fixed)
-        for _ in range(8):
-            fixed_slot.drain_rate.note_drain(0)
-        assert scheduler.effective_thresholds(fixed) == (4, 8)
-    finally:
-        scheduler.close()
-
-
 # ---------------------------------------------------------------------------
 # Equivalence: background drains to the serial logical state
 # ---------------------------------------------------------------------------
@@ -330,48 +290,60 @@ def test_deterministic_commits_match_serial_boundary_free():
 # ---------------------------------------------------------------------------
 
 
-def test_slowdown_and_stall_counters_fire_under_backlog():
-    """Block the worker, build an L1 backlog, and watch the throttle
-    escalate: slowdowns first, then a hard stall that releases once the
-    worker drains the backlog below the threshold."""
+def _stall_engine(scheduler):
+    return make_engine(scheduler=scheduler, d_th=1e9, stall_l1_runs=4)
+
+
+def _fill_to_stall(engine):
+    """Put keys until the next write hard-stalls. The caller holds the
+    compaction mutex, so the worker cannot shrink Level 1 meanwhile."""
+    i = 0
+    while engine._pending_l1_runs() < engine.config.stall_l1_runs:
+        engine.put(i, f"v{i}")
+        i += 1
+
+
+def _start_stalled_writer(engine):
+    """Start a thread whose put hard-stalls; returns the thread and a
+    list that receives the exception the put raised, if any."""
+    raised = []
+    started = threading.Event()
+
+    def writer():
+        started.set()
+        try:
+            engine.put(10**6, "stall-probe")  # must block, then finish
+        except Exception as exc:  # handed to the test
+            raised.append(exc)
+
+    thread = threading.Thread(target=writer, daemon=True)
+    thread.start()
+    assert started.wait(5.0)
+    time.sleep(0.1)  # give the writer time to enter the stall
+    assert thread.is_alive(), "writer should be hard-stalled"
+    return thread, raised
+
+
+def test_stall_fires_under_backlog_and_releases():
+    """Block the worker, build an L1 backlog up to the stall threshold,
+    and watch a writer hard-stall, then release once the worker drains
+    the backlog below the threshold."""
     scheduler = BackgroundScheduler(workers=1)
-    engine = make_engine(
-        scheduler=scheduler,
-        d_th=1e9,
-        slowdown_l1_runs=2,
-        stall_l1_runs=4,
-        write_slowdown_seconds=1e-4,
-    )
+    engine = _stall_engine(scheduler)
     try:
         # Hold the engine's compaction mutex so the worker cannot run.
         gate = engine._compaction_mutex
         blocked = True
         gate.acquire()
         try:
-            i = 0
-            # Fill until the hard-stall threshold is one flush away.
-            while engine._pending_l1_runs() < engine.config.stall_l1_runs:
-                engine.put(i, f"v{i}")
-                i += 1
-            assert engine.stats.write_slowdowns > 0, (
-                "the slowdown band was crossed on the way to the stall"
-            )
-
-            stalled = threading.Event()
-
-            def writer():
-                stalled.set()
-                engine.put(10**6, "stall-probe")  # must block, then finish
-
-            thread = threading.Thread(target=writer, daemon=True)
-            thread.start()
-            stalled.wait(1.0)
-            time.sleep(0.1)  # give the writer time to enter the stall
-            assert thread.is_alive(), "writer should be hard-stalled"
+            _fill_to_stall(engine)
+            thread, raised = _start_stalled_writer(engine)
             gate.release()
             blocked = False
             thread.join(timeout=10.0)
             assert not thread.is_alive(), "stall never released"
+            assert raised == []
+            assert engine._pending_l1_runs() < engine.config.stall_l1_runs
             assert engine.stats.write_stalls >= 1
             assert engine.stats.stall_seconds > 0.0
         finally:
@@ -379,6 +351,66 @@ def test_slowdown_and_stall_counters_fire_under_backlog():
                 gate.release()
     finally:
         scheduler.close()
+
+
+def test_stalled_writer_gets_the_worker_error(monkeypatch):
+    """A compaction that raises while a writer is hard-stalled ends the
+    stall with that error on the writer's thread: the writer neither
+    hangs waiting for a drain that will never come nor swallows it."""
+    scheduler = BackgroundScheduler(workers=1)
+    engine = _stall_engine(scheduler)
+
+    class MergeFailed(RuntimeError):
+        pass
+
+    def failing_prepare(*args, **kwargs):
+        raise MergeFailed("merge failed mid-stall")
+
+    try:
+        gate = engine._compaction_mutex
+        blocked = True
+        gate.acquire()
+        try:
+            _fill_to_stall(engine)
+            thread, raised = _start_stalled_writer(engine)
+            # The worker is parked on the mutex inside run_one_compaction;
+            # once it gets the mutex, its merge raises.
+            monkeypatch.setattr(engine.executor, "prepare", failing_prepare)
+            gate.release()
+            blocked = False
+            thread.join(timeout=10.0)
+            assert not thread.is_alive(), "stalled writer hung on a failed worker"
+        finally:
+            if blocked:
+                gate.release()
+        assert len(raised) == 1 and isinstance(raised[0], MergeFailed)
+        assert engine._pending_l1_runs() >= engine.config.stall_l1_runs
+    finally:
+        scheduler.close()
+
+
+def test_stalled_writer_returns_when_the_scheduler_closes():
+    """Closing the scheduler releases a hard-stalled writer even though
+    no worker drained Level 1 (the backlog is still at the threshold)."""
+    scheduler = BackgroundScheduler(workers=1)
+    engine = _stall_engine(scheduler)
+    closer = threading.Thread(target=scheduler.close, daemon=True)
+    gate = engine._compaction_mutex
+    gate.acquire()
+    try:
+        _fill_to_stall(engine)
+        thread, raised = _start_stalled_writer(engine)
+        # close() joins the worker, which waits on the mutex this thread
+        # holds, so it runs on a thread of its own.
+        closer.start()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive(), "stalled writer outlived close()"
+        assert raised == []
+        assert engine._pending_l1_runs() >= engine.config.stall_l1_runs
+    finally:
+        gate.release()
+        closer.join(timeout=10.0)
+    assert not closer.is_alive()
 
 
 def test_stall_gives_up_when_no_task_can_shrink_l1():
@@ -391,7 +423,6 @@ def test_stall_gives_up_when_no_task_can_shrink_l1():
         scheduler=scheduler,
         d_th=1e9,
         level1_run_trigger=50,  # the policy will never merge 3 runs
-        slowdown_l1_runs=0,
         stall_l1_runs=3,
     )
     try:
@@ -422,9 +453,7 @@ def test_flushes_proceed_and_maintenance_waits_while_a_merge_is_parked(tmp_path)
     commit lock, which the merge does not hold), while maintenance
     sections, which need the mutex, wait for the merge to install and
     then run — ending on the serial engine's read surface."""
-    config = dict(
-        TINY, level1_tiered=True, slowdown_l1_runs=0, stall_l1_runs=0
-    )
+    config = dict(TINY, level1_tiered=True, stall_l1_runs=0)
     key_space = 97
 
     def put_rounds(engine, start, stop):

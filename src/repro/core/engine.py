@@ -100,6 +100,13 @@ def _timed(histogram: str):
 class LSMEngine:
     """A complete simulated LSM key-value engine.
 
+    One writer at a time: the engine does not lock its write path, so
+    callers must serialize every operation on it (two threads writing
+    one durable engine can move its WAL flush watermark backwards).
+    Background compaction workers are the only other threads it admits.
+    :class:`~repro.shard.engine.ShardedEngine` is the thread-safe entry
+    point: it holds the owning shard's lock around every member call.
+
     Parameters
     ----------
     config:

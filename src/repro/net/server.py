@@ -20,19 +20,20 @@ Architecture (one connection, left to right)::
   costs bounded server memory per connection, never an unbounded
   buffer.
 
-* **Batched hand-off** — consecutive write requests already waiting in
-  the window are grouped (up to ``batch_max``) into a single
-  :meth:`~repro.shard.engine.IngestSession.submit`, so a pipelined
-  write burst reaches the member engines as router-batched ingest
-  instead of one engine call per request. All connections share one
+* **Window drain** — each time the dispatcher wakes it takes every
+  request already waiting in the window (up to ``batch_max``) and
+  applies them with one pool call: each run of consecutive writes is a
+  single :meth:`~repro.shard.engine.IngestSession.submit` (router-batched
+  ingest instead of one engine call per request), and each read runs
+  after the writes before it have landed. All connections share one
   :class:`~repro.shard.engine.IngestSession` (one bounded per-shard
   pipeline for the whole server).
 
 * **Durability at the ack boundary** — on durable clusters (built with
-  ``store_path``) the server forces a cluster-wide WAL sync after
-  applying a write batch and *before* acknowledging it, so an ``OK``
-  the client has seen is recoverable after a crash. See
-  ``tests/crash/test_serving_durability.py``.
+  ``store_path``) the server forces one cluster-wide WAL sync after
+  applying a drained window's writes and *before* sending any of its
+  responses, so an ``OK`` the client has seen is recoverable after a
+  crash. See ``tests/crash/test_serving_durability.py``.
 
 Blocking engine calls run on a private thread pool (``net-dispatch-*``
 threads) via ``run_in_executor``; the event loop itself never touches
@@ -45,6 +46,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from itertools import groupby
 from time import perf_counter
 from typing import Any
 
@@ -68,6 +70,10 @@ _WRITE_KINDS = frozenset(
 _EOF = ("__eof__",)
 
 
+def _error_reply(exc: Exception) -> tuple:
+    return ("error", f"{type(exc).__name__}: {exc}")
+
+
 class LetheServer:
     """Serve a :class:`~repro.shard.engine.ShardedEngine` over TCP.
 
@@ -85,8 +91,9 @@ class LetheServer:
         the backpressure knob: the reader stops reading the socket once
         the window is full.
     batch_max:
-        Maximum consecutive write requests folded into one ingest
-        submit.
+        Maximum requests the dispatcher drains from one connection's
+        window and applies with one pool call (so also the longest run
+        of writes folded into one ingest submit).
     dispatch_workers:
         Threads applying engine calls. Defaults to ``n_shards + 2``.
     sync_writes:
@@ -311,55 +318,50 @@ class LetheServer:
             await window.put(("req", request, perf_counter()))
 
     async def _dispatch(self, window: asyncio.Queue, writer) -> None:
-        """Apply requests in arrival order; respond in the same order."""
+        """Apply requests in arrival order; respond in the same order.
+
+        Each wake-up drains every request already in the window (up to
+        ``batch_max``) and applies the whole drain with one pool call,
+        :meth:`_apply_requests`; then it writes every response in order
+        and drains the socket once. An EOF or protocol-error item ends
+        the drain and is handled after the requests before it are
+        answered. A drain of pings only never leaves the loop.
+        """
         loop = asyncio.get_running_loop()
-        carry = None
         try:
             while True:
-                item = carry if carry is not None else await window.get()
-                carry = None
-                kind = item[0]
-                if kind == "__eof__":
-                    return
-                if kind == "__protocol_error__":
-                    # Answer everything already applied, then report the
-                    # broken frame and hang up.
+                item = await window.get()
+                drained = []
+                while item is not None and item[0] == "req":
+                    drained.append(item)
+                    item = None
+                    if len(drained) < self.batch_max:
+                        try:
+                            item = window.get_nowait()
+                        except asyncio.QueueEmpty:
+                            pass
+                if drained:
+                    requests = [entry[1] for entry in drained]
+                    if all(request[0] == "ping" for request in requests):
+                        responses = [("pong",)] * len(requests)
+                    else:
+                        responses = await loop.run_in_executor(
+                            self._pool, self._apply_requests, requests
+                        )
+                    now = perf_counter()
+                    for (_, _, started), response in zip(drained, responses):
+                        self.request_latency.record(now - started)
+                        writer.write(encode_response(response))
+                    self.requests_completed += len(drained)
+                    await writer.drain()
+                if item is None:
+                    continue
+                if item[0] == "__protocol_error__":
+                    # Everything before the broken frame is answered;
+                    # report it and hang up.
                     writer.write(encode_response(("error", item[1])))
                     await writer.drain()
-                    return
-                _, request, started = item
-                if request[0] in _WRITE_KINDS:
-                    batch = [item]
-                    while len(batch) < self.batch_max:
-                        try:
-                            peeked = window.get_nowait()
-                        except asyncio.QueueEmpty:
-                            break
-                        if peeked[0] == "req" and peeked[1][0] in _WRITE_KINDS:
-                            batch.append(peeked)
-                        else:
-                            carry = peeked
-                            break
-                    responses = await loop.run_in_executor(
-                        self._pool, self._apply_writes, [b[1] for b in batch]
-                    )
-                    now = perf_counter()
-                    for (_, _, batch_started), response in zip(batch, responses):
-                        self.request_latency.record(now - batch_started)
-                        writer.write(encode_response(response))
-                    self.requests_completed += len(batch)
-                    await writer.drain()
-                else:
-                    if request[0] == "ping":
-                        response = ("pong",)
-                    else:
-                        response = await loop.run_in_executor(
-                            self._pool, self._apply_read, request
-                        )
-                    self.request_latency.record(perf_counter() - started)
-                    self.requests_completed += 1
-                    writer.write(encode_response(response))
-                    await writer.drain()
+                return
         except (ConnectionResetError, BrokenPipeError, OSError):
             return
 
@@ -367,24 +369,47 @@ class LetheServer:
     # Engine calls (pool threads)
     # ------------------------------------------------------------------
 
-    def _apply_writes(self, requests: list[tuple]) -> list[tuple]:
-        """Apply one batch of write requests through the shared session.
+    def _apply_requests(self, requests: list[tuple]) -> list[tuple]:
+        """Apply one drained window in arrival order; one response each.
 
-        The whole batch acks (or errors) together: the session ticket
-        completes only when every routed sub-batch landed, and durable
-        clusters additionally sync the WAL before the first OK leaves.
+        Each run of consecutive writes is one session submit, and its
+        ticket is waited on before the next read, so a read sees every
+        earlier write of the window. A failed submit errors its own run
+        only. On durable clusters the window ends with one cluster sync
+        when any write landed; if the sync fails, every write the window
+        had acknowledged is answered with the error instead, so no
+        ``OK`` leaves before its write is durable.
         """
-        try:
-            with self._obs.tracer.span("net:dispatch", ops=len(requests)):
-                ticket = self._session.submit(requests)
-                ticket.wait()
-                if self._sync_writes:
-                    self.cluster.sync()
+        responses: list[tuple] = []
+        acked: list[int] = []
+        for writes, group in groupby(
+            requests, key=lambda request: request[0] in _WRITE_KINDS
+        ):
+            group = list(group)
+            if not writes:
+                responses.extend(
+                    ("pong",) if request[0] == "ping" else self._apply_read(request)
+                    for request in group
+                )
+                continue
+            try:
+                with self._obs.tracer.span("net:dispatch", ops=len(group)):
+                    self._session.submit(group).wait()
+            except Exception as exc:  # noqa: BLE001 - reported to the client
+                responses.extend([_error_reply(exc)] * len(group))
+                continue
             self.write_batches += 1
-            return [("ok",)] * len(requests)
-        except Exception as exc:  # noqa: BLE001 - reported to the client
-            message = f"{type(exc).__name__}: {exc}"
-            return [("error", message)] * len(requests)
+            acked.extend(range(len(responses), len(responses) + len(group)))
+            responses.extend([("ok",)] * len(group))
+        if acked and self._sync_writes:
+            try:
+                with self._obs.tracer.span("net:dispatch", op="sync"):
+                    self.cluster.sync()
+            except Exception as exc:  # noqa: BLE001 - reported to the client
+                error = _error_reply(exc)
+                for index in acked:
+                    responses[index] = error
+        return responses
 
     def _apply_read(self, request: tuple) -> tuple:
         """Answer one read: the cluster method of the request's name,
@@ -397,7 +422,7 @@ class LetheServer:
                 return ("pairs", result)
             return ("miss",) if result is None else ("value", result)
         except Exception as exc:  # noqa: BLE001 - reported to the client
-            return ("error", f"{type(exc).__name__}: {exc}")
+            return _error_reply(exc)
 
     # ------------------------------------------------------------------
     # Monitoring

@@ -126,6 +126,76 @@ def test_acknowledged_writes_survive_server_kill(
             recovered.close()
 
 
+def mixed_stream() -> list[tuple[tuple, tuple]]:
+    """TOTAL_OPS puts, each third one followed by a get of an earlier key
+    and each fifth by a get of a key not yet written, paired with the
+    reply the dict model gives at that position."""
+    stream = []
+    for i in range(TOTAL_OPS):
+        stream.append((("put", i, value_for(i), i % 13), ("ok",)))
+        if i % 3 == 2:
+            stream.append((("get", i - 2), ("value", value_for(i - 2))))
+        if i % 5 == 4:
+            stream.append((("get", i + 1), ("miss",)))
+    return stream
+
+
+@pytest.mark.parametrize("name,config_overrides", FLAVOURS)
+@pytest.mark.parametrize("kill_after", [1, 17, 60, 111])
+def test_mixed_windows_survive_server_kill(name, config_overrides, kill_after):
+    """Pipelined puts interleaved with gets, so the server drains windows
+    that mix write runs and reads: every reply the client saw equals the
+    model at its position, and every acked put survives the kill."""
+    stream = mixed_stream()
+    with tempfile.TemporaryDirectory() as tmp:
+        cluster = ShardedEngine(
+            durable_config(**config_overrides),
+            n_shards=2,
+            ingest_queue_depth=4,
+            store_path=tmp,
+        )
+        server = LetheServer(cluster, batch_max=8).start()
+        replies = []
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=30
+            ) as sock:
+                sock.sendall(b"".join(encode_request(op) for op, _ in stream))
+                while len(replies) < kill_after:
+                    try:
+                        header = _recv_exact(sock, LENGTH_PREFIX_BYTES)
+                        payload = _recv_exact(sock, parse_length(header))
+                    except (ConnectionError, socket.timeout):
+                        break
+                    replies.append(decode_response(payload))
+        finally:
+            server.abort()
+        assert len(replies) >= min(kill_after, 1), f"[{name}] no replies"
+        for position, reply in enumerate(replies):
+            op, model = stream[position]
+            assert reply == model, (
+                f"[{name}@{kill_after}] reply {position} to {op[:2]} was "
+                f"{reply!r}, model {model!r}"
+            )
+        acked = {op[1] for (op, _), _ in zip(stream, replies) if op[0] == "put"}
+        recovered = ShardedEngine.open(tmp)
+        try:
+            for i in range(TOTAL_OPS):
+                got = recovered.get(i)
+                if i in acked:
+                    assert got == value_for(i), (
+                        f"[{name}@{kill_after}] acked put {i} lost or torn: "
+                        f"{got!r}"
+                    )
+                else:
+                    assert got in (None, value_for(i)), (
+                        f"[{name}@{kill_after}] unacked put {i} recovered "
+                        f"torn: {got!r}"
+                    )
+        finally:
+            recovered.close()
+
+
 DR_LO, DR_HI = 10, 30
 DR_PRELOAD = 40       # puts 0..39 precede the range delete
 DR_TAIL_BASE = 50     # unacked tail keys stay clear of the deleted span

@@ -248,6 +248,199 @@ class TestBackpressure:
         assert cluster.get(flood - 1) == b"x" * 32
 
 
+def _wait_until(predicate, what: str) -> None:
+    for _ in range(2000):
+        if predicate():
+            return
+        time.sleep(0.005)
+    raise AssertionError(f"timed out waiting for {what}")
+
+
+def _read_responses(sock: socket.socket, count: int | None = None) -> list[tuple]:
+    """Decode responses until ``count`` arrived (or, with ``None``, until
+    the server hangs up)."""
+    decoder = FrameDecoder()
+    responses = []
+    while count is None or len(responses) < count:
+        chunk = sock.recv(1 << 16)
+        if not chunk:
+            assert count is None, "server closed before every response"
+            break
+        responses.extend(decode_response(p) for p in decoder.feed(chunk))
+    return responses
+
+
+def _count_pool_calls(server: LetheServer, monkeypatch) -> list:
+    """Record every call the server hands its dispatch pool."""
+    calls = []
+    submit = server._pool.submit
+
+    def counting(fn, *args, **kwargs):
+        calls.append(fn)
+        return submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(server._pool, "submit", counting)
+    return calls
+
+
+class TestWindowDrain:
+    """Each dispatcher wake-up drains the whole window: one pool call and
+    (on durable clusters) one sync per drain, responses in request order,
+    each read after every earlier write of its window."""
+
+    def _one_window(self, server, cluster, sock, calls, ops) -> list[tuple]:
+        """Apply ``ops`` as one drained window and return their responses.
+
+        A get sent first, with every engine call wedged on the topology
+        gate, holds the dispatcher in the pool while ``ops`` are parsed
+        into the window behind it; releasing the gate lets the next
+        drain take them all at once.
+        """
+        parsed = server.requests_received
+        with cluster._gate.exclusive():
+            sock.sendall(encode_request(("get", -1)))
+            _wait_until(lambda: len(calls) == 1, "the wedged pool call")
+            sock.sendall(b"".join(encode_request(op) for op in ops))
+            _wait_until(
+                lambda: server.requests_received == parsed + 1 + len(ops),
+                "the window to fill",
+            )
+        responses = _read_responses(sock, 1 + len(ops))
+        assert responses[0] == ("miss",)
+        return responses[1:]
+
+    def test_mixed_window_is_one_pool_call_answered_in_order(
+        self, cluster, monkeypatch
+    ):
+        ops = [
+            ("put", 1, b"one", None),
+            ("get", 1),
+            ("put", 2, b"two", None),
+            ("put", 3, b"three", None),
+            ("scan", 0, 9),
+            ("delete", 2),
+            ("get", 2),
+            ("ping",),
+            ("scan", 0, 9),
+            ("put", 2, b"again", None),
+            ("get", 2),
+            ("get", 3),
+        ]
+        expected = [
+            ("ok",),
+            ("value", b"one"),
+            ("ok",),
+            ("ok",),
+            ("pairs", [(1, b"one"), (2, b"two"), (3, b"three")]),
+            ("ok",),
+            ("miss",),
+            ("pong",),
+            ("pairs", [(1, b"one"), (3, b"three")]),
+            ("ok",),
+            ("value", b"again"),
+            ("value", b"three"),
+        ]
+        with LetheServer(cluster) as server:
+            calls = _count_pool_calls(server, monkeypatch)
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=30
+            ) as sock:
+                assert self._one_window(
+                    server, cluster, sock, calls, ops
+                ) == expected
+            assert len(calls) == 2  # the wedged get, then the whole window
+
+    def test_flood_costs_one_pool_call_per_window(self, cluster, monkeypatch):
+        window, flood = 8, 400
+        ops = []
+        for k in range(flood // 2):
+            ops += [("put", k, b"v%d" % k, None), ("get", k)]
+        with LetheServer(cluster, inflight_window=window) as server:
+            calls = _count_pool_calls(server, monkeypatch)
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=30
+            ) as sock:
+                with cluster._gate.exclusive():
+                    sender = threading.Thread(
+                        target=lambda: sock.sendall(
+                            b"".join(encode_request(op) for op in ops)
+                        ),
+                        daemon=True,
+                    )
+                    sender.start()
+                    _wait_until(
+                        lambda: server.requests_received >= 2 * window,
+                        "the window to fill",
+                    )
+                responses = _read_responses(sock, flood)
+                sender.join(timeout=30)
+                assert not sender.is_alive()
+        assert responses == [
+            ("ok",) if op[0] == "put" else ("value", b"v%d" % op[1])
+            for op in ops
+        ]
+        assert len(calls) <= -(-flood // window) + 2
+
+    def test_failed_sync_errors_every_write_of_its_window(
+        self, cluster, monkeypatch
+    ):
+        failures = ["injected sync failure"]
+        original_sync = cluster.sync
+
+        def sync_failing_once():
+            if failures:
+                raise OSError(failures.pop())
+            original_sync()
+
+        monkeypatch.setattr(cluster, "sync", sync_failing_once)
+        ops = [
+            ("put", 1, b"one", None),
+            ("get", 1),
+            ("delete", 1),
+            ("put", 2, b"two", None),
+            ("get", 2),
+        ]
+        with LetheServer(cluster, sync_writes=True) as server:
+            calls = _count_pool_calls(server, monkeypatch)
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=30
+            ) as sock:
+                responses = self._one_window(server, cluster, sock, calls, ops)
+                error = ("error", "OSError: injected sync failure")
+                assert responses == [
+                    error, ("value", b"one"), error, error, ("value", b"two"),
+                ]
+                assert not failures
+                # The next window syncs and acks normally.
+                sock.sendall(
+                    encode_request(("put", 3, b"three", None))
+                    + encode_request(("get", 3))
+                )
+                assert _read_responses(sock, 2) == [
+                    ("ok",), ("value", b"three"),
+                ]
+
+    def test_protocol_error_after_pipelined_requests_comes_last(self, cluster):
+        ops = []
+        for k in range(10):
+            ops += [("put", k, b"v%d" % k, None), ("get", k)]
+        with LetheServer(cluster) as server:
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=30
+            ) as sock:
+                sock.sendall(
+                    b"".join(encode_request(op) for op in ops)
+                    + frame(bytes([0x04]) + struct.pack("<qq", 1, 2))
+                )
+                responses = _read_responses(sock)
+            assert server.protocol_errors == 1
+        assert responses[:-1] == [
+            ("ok",) if op[0] == "put" else ("value", b"v%d" % op[1])
+            for op in ops
+        ]
+        assert responses[-1][0] == "error"
+
+
 class TestBadRangeDeleteFrames:
     """An inverted range delete from the wire costs its sender an error
     frame and nothing else. Before tag 0x04 was retired such a frame was

@@ -11,7 +11,9 @@ merged cluster statistics.
 import errno
 import os
 import shutil
+import sys
 import tempfile
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -788,6 +790,59 @@ TestReshardMachine = ReshardMachine.TestCase
 TestReshardMachine.settings = _RESHARD_MACHINE_SETTINGS
 TestDurableReshardMachine = DurableReshardMachine.TestCase
 TestDurableReshardMachine.settings = _RESHARD_MACHINE_SETTINGS
+
+
+class TestThreadSafety:
+    """``LSMEngine`` is single-writer; ``ShardedEngine`` is the entry
+    point many threads may share, because every member call holds that
+    member's shard lock."""
+
+    WRITERS, KEYS_EACH = 4, 300
+
+    def test_concurrent_writers_on_a_durable_cluster(self, tmp_path):
+        cluster = ShardedEngine(
+            kiwi_cfg(wal_commit_policy="group(16)"),
+            n_shards=2,
+            scheduler="background",
+            store_path=tmp_path / "cluster",
+        )
+        start = threading.Barrier(self.WRITERS)
+        errors = []
+
+        def write(writer: int) -> None:
+            try:
+                start.wait(timeout=30)
+                for i in range(self.KEYS_EACH):
+                    key = writer * self.KEYS_EACH + i
+                    cluster.put(key, b"w%d-%d" % (writer, i), delete_key=i)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=write, args=(w,))
+                for w in range(self.WRITERS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not [t for t in threads if t.is_alive()]
+        assert not errors, errors
+        cluster.sync()
+        cluster.close()
+        recovered = ShardedEngine.open(tmp_path / "cluster")
+        try:
+            for writer in range(self.WRITERS):
+                for i in range(self.KEYS_EACH):
+                    key = writer * self.KEYS_EACH + i
+                    assert recovered.get(key) == b"w%d-%d" % (writer, i)
+        finally:
+            recovered.close()
 
 
 class TestClusterMetricsAndMaintenance:
